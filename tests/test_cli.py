@@ -3,17 +3,23 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pasense import (
+    AxisSpec,
     PhysicalParams,
     ReducedParams,
     mu,
     optimal_phase,
+    oscillator_sensitivity,
+    output_spectrum,
     reduce,
     sensitivity,
+    sensitivity_ratio,
+    sweep,
 )
-from pasense.cli import main
+from pasense.cli import MAX_POINTS, main
 
 THETA_1K = 20836.619136094574
 KAPPA0 = 2.0 * math.pi * 1e6
@@ -38,6 +44,27 @@ def rows_of(text):
     lines = [ln for ln in text.strip().split("\n") if not ln.startswith("#")]
     header = lines[0].split(",")
     return header, [ln.split(",") for ln in lines[1:]]
+
+
+def columns_of(text):
+    _, rows = rows_of(text)
+    return np.array([[float(v) for v in r] for r in rows]).T
+
+
+def assert_bitwise(cols, *expected):
+    # Every CSV column equals the library's array, bit for bit.
+    assert len(cols) == len(expected)
+    for got, want in zip(cols, expected):
+        np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))
+
+
+# Columnar contract: one library call on whole omega/phi arrays.
+RP_LOSSY = ReducedParams(J0=0.3, g=0.35, gam=1e-4, theta=THETA_1K)
+LOSSY_FLAGS = [
+    "--J0", "0.3", "--G-tilde", "0.35", "--gamma-tilde", "1e-4",
+    "--theta", repr(THETA_1K),
+]
+OMEGAS = np.linspace(0.01, 1.9, 257)
 
 
 def test_sensitivity_optimal_phase_row(capsys):
@@ -72,6 +99,24 @@ def test_sensitivity_seventeen_digit_round_trip(capsys):
     # for bit
     assert float(rows[0][2]) == float(expect.R_rel)
     assert float(rows[0][3]) == float(expect.shot)
+
+    # Whole columns, at the optimal angle and on an angle list, equal
+    # one library call on the same arrays.
+    pops = np.array([-0.3, 0.0, 0.2])
+    for extra, w, phi in (
+        ([], OMEGAS, optimal_phase(RP_LOSSY, OMEGAS)),
+        (["--phi-over-pi=-0.3,0,0.2"], np.repeat(OMEGAS, 3),
+         np.tile(pops * np.pi, OMEGAS.size)),
+    ):
+        rc, out, _ = run(capsys, [
+            "sensitivity", *LOSSY_FLAGS, "--omega", "0.01:1.9:257", *extra,
+        ])
+        assert rc == 0
+        pt = sensitivity(RP_LOSSY, w, phi)
+        assert_bitwise(
+            columns_of(out), w, phi / np.pi, pt.R_rel, pt.shot,
+            pt.backaction, pt.thermal,
+        )
 
 
 def test_sensitivity_phase_grid_and_range(capsys):
@@ -132,6 +177,17 @@ def test_spectrum_rows(capsys):
     assert float(rows[0][2]) == 0.53125
     assert float(rows[1][2]) == pytest.approx(0.5, rel=1e-12)
 
+    rc, out, _ = run(capsys, [
+        "spectrum", *LOSSY_FLAGS, "--omega", "0.01:1.9:257",
+        "--s-ex-rel", "0.3",
+    ])
+    assert rc == 0
+    phi = optimal_phase(RP_LOSSY, OMEGAS)
+    assert_bitwise(
+        columns_of(out), OMEGAS, phi / np.pi,
+        output_spectrum(RP_LOSSY, OMEGAS, phi, 0.3),
+    )
+
 
 def test_spectrum_negative_background_exits_3(capsys):
     rc, _, err = run(capsys, [
@@ -160,6 +216,21 @@ def test_mu_map_small_grid(capsys):
     assert data[1][2] == 1.0
     assert data[3][2] == pytest.approx(
         mu(ReducedParams(J0=0.5, g=0.2), 1.0), rel=1e-12
+    )
+
+    # A non-square grid: rows run x-fastest and equal the sweep bitwise.
+    rc, out, _ = run(capsys, [
+        "mu-map", *LOSSY_FLAGS, "--omega-min", "0.01", "--omega-max", "1.9",
+        "--g-min", "0.1", "--g-max", "0.45", "--resolution", "7x5",
+    ])
+    assert rc == 0
+    grid = sweep(
+        RP_LOSSY, "mu", AxisSpec("omega_over_kappa0", 0.01, 1.9, 7),
+        AxisSpec("G_over_kappa0", 0.1, 0.45, 5),
+    )
+    assert_bitwise(
+        columns_of(out), np.tile(grid.x_values, 5),
+        np.repeat(grid.y_values, 7), grid.values.ravel(),
     )
 
 
@@ -269,6 +340,29 @@ def test_oscillator_rows_and_skip_warning(capsys):
     assert r4[2] == pytest.approx(8.5, rel=1e-14)
     assert r4[3] == pytest.approx(0.87890625, rel=1e-14)
     assert r4[1] == pytest.approx(7.470703125, rel=1e-12)
+
+    rp = ReducedParams(J0=0.3, g=0.35)
+    rc, out, _ = run(capsys, [
+        "oscillator", "--J0", "0.3", "--G-tilde", "0.35",
+        "--omega-m-tilde", "0.005", "--omega", "0.01:1.9:257",
+    ])
+    assert rc == 0
+    assert_bitwise(
+        columns_of(out), OMEGAS,
+        oscillator_sensitivity(rp, 0.005, OMEGAS, 0.0).mu_mo,
+        mu(rp, OMEGAS), sensitivity_ratio(0.005, OMEGAS),
+    )
+
+
+def test_oscillator_checks_model_with_every_row_skipped(capsys, tmp_path):
+    target = tmp_path / "out.csv"
+    rc, out, err = run(capsys, [
+        "oscillator", "--J0", "0.5", "--gamma-tilde", "0.1",
+        "--omega-m-tilde", "1.0", "--omega", "0.5,1.0", "--out", str(target),
+    ])
+    assert rc == 3
+    assert "lossless" in err
+    assert not target.exists()
 
 
 def test_oscillator_requires_trap_frequency(capsys):
@@ -402,6 +496,57 @@ def test_config_missing_file(capsys, tmp_path):
     ])
     assert rc == 2
     assert "cannot read config file" in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("sensitivity", {"J0": "abc", "omega": "1.0"}),
+    ("tables", {"table": 3}),
+], ids=["float-type", "choices"])
+def test_config_values_pass_argparse_checks(capsys, tmp_path, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err
+    assert f"from config file {cfg}" in err
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["sensitivity", "--J0", "nan", "--omega", "1.0"], "phi_over_pi"),
+    (["sensitivity", "--J0", "0.5", "--omega", "inf", "--phi-over-pi", "0"],
+     "R_rel"),
+    (["spectrum", "--J0", "0.5", "--omega", "inf", "--phi-over-pi", "0"],
+     "S_zout"),
+    (["oscillator", "--J0", "0.5", "--omega-m-tilde", "0.1",
+      "--omega", "1.0,inf"], "mu_mo"),
+], ids=["sensitivity-J0-nan", "sensitivity-omega-inf", "spectrum-omega-inf",
+        "oscillator-omega-inf"])
+def test_nan_result_exits_3_without_output(capsys, tmp_path, argv, column):
+    target = tmp_path / "out.csv"
+    with np.errstate(all="ignore"):
+        rc, out, err = run(capsys, [*argv, "--out", str(target)])
+    assert rc == 3
+    assert f"NaN) in column {column}" in err
+    assert out == ""
+    assert not target.exists()
+
+
+# Each request is one point over the limit, so a missing check costs
+# about 80 MB and no more.
+@pytest.mark.parametrize("argv", [
+    ["sensitivity", "--J0", "0.5", "--omega", f"0.1:1:{MAX_POINTS + 1}"],
+    ["sensitivity", "--J0", "0.5", "--omega", "0.1:1:909091",
+     "--phi-over-pi=" + ",".join(["0"] * 11)],
+    ["mu-map", "--J0", "0.5", "--resolution", "11x909091"],
+], ids=["omega-count", "omega-times-phi", "resolution"])
+def test_request_over_max_points_exits_2(capsys, argv):
+    assert 909091 * 11 == MAX_POINTS + 1
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert f"{MAX_POINTS + 1} rows or grid cells" in err
+    assert f"limit is {MAX_POINTS}" in err
 
 
 def test_out_file_written(capsys, tmp_path):
