@@ -23,7 +23,6 @@ from .explore import (
     TableRow,
     extract_contour,
     minimize_mu_over_frequency,
-    minimize_phase,
     reproduce_tables,
     sweep,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "extract_contour",
     "kernels",
     "minimize_mu_over_frequency",
-    "minimize_phase",
     "mu",
     "optimal_phase",
     "oscillator_sensitivity",

@@ -35,14 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, InvalidRangeError
-from .explore import AxisSpec, extract_contour, reproduce_tables, sweep
+from .explore import MAX_POINTS, AxisSpec, extract_contour, reproduce_tables, sweep
 from .oscillator import oscillator_sensitivity, sensitivity_ratio
 from .params import PhysicalParams, ReducedParams
 from .params import reduce as reduce_params
 from .response import mu, optimal_phase, output_spectrum, sensitivity
-
-# Largest number of CSV rows or grid cells one request may ask for.
-MAX_POINTS = 10_000_000
 
 # Rows formatted per template application; bounds the transient memory.
 _CHUNK_ROWS = 4096

@@ -15,7 +15,6 @@ open interval (-1/2, 1/2).
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -24,7 +23,20 @@ import numpy as np
 from .errors import DomainError, InvalidParameterError, InvalidRangeError
 from .params import HBAR, K_B, PhysicalParams, ReducedParams
 from .params import reduce as reduce_params
-from .response import kernels, mu, output_spectrum, sensitivity
+from .response import (  # noqa: F401  (kernels: perfbench/tracing.py wraps it here)
+    _gain_coefficients,
+    _gain_polynomials,
+    _k_formula,
+    _mu_formula,
+    kernels,
+    mu,
+    output_spectrum,
+    sensitivity,
+)
+
+# Largest number of grid cells one sweep may ask for; the CLI holds its
+# row counts to the same limit.
+MAX_POINTS = 10_000_000
 
 # Axis boxes: name -> (low, high, endpoints_allowed).
 _AXIS_BOXES = {
@@ -118,38 +130,51 @@ def sweep(
 ) -> SweepGrid:
     """Tabulate one of K, mu, R_rel, S_zout over a rectangle.
 
-    K and mu live on (frequency, gain) axes; the gain axis overrides
-    ``rp.g`` row by row.  R_rel and S_zout live on (frequency, homodyne
-    angle) axes at fixed ``rp``.  Either orientation of x and y is
-    accepted.  A grid containing non-finite entries (for example mu at
-    zero drive) is rejected with :class:`DomainError`.
+    K and mu live on (frequency, gain) axes; the gain axis replaces
+    ``rp.g``, and each row equals the pointwise function at that gain
+    bit for bit.  R_rel and S_zout live on (frequency, homodyne angle)
+    axes at fixed ``rp``.  Either orientation of x and y is accepted.
+    Every quantity is evaluated once, on a frequency row broadcast
+    against a gain or angle column.  A grid of more than
+    ``MAX_POINTS`` cells is rejected with :class:`InvalidRangeError`
+    before anything is allocated; one containing non-finite entries
+    (for example mu at zero drive) with :class:`DomainError`.
     """
     if x_axis.name == y_axis.name:
         raise InvalidParameterError("x and y axes must differ")
+    if x_axis.num * y_axis.num > MAX_POINTS:
+        raise InvalidRangeError(
+            f"sweep asks for {x_axis.num * y_axis.num} grid cells; "
+            f"the limit is {MAX_POINTS}"
+        )
     if quantity in ("K", "mu"):
         om_axis = _axis_by_name(x_axis, y_axis, "omega_over_kappa0")
         g_axis = _axis_by_name(x_axis, y_axis, "G_over_kappa0")
-        om = om_axis.values
-        gs = g_axis.values
-        rows = []
-        for g in gs:
-            rp_g = ReducedParams(J0=rp.J0, g=g, gam=rp.gam, theta=rp.theta)
-            if quantity == "K":
-                rows.append(kernels(rp_g, om).K)
-            else:
-                rows.append(mu(rp_g, om))
-        canon = np.asarray(rows)  # [g, omega]
-        values = canon if x_axis.name == "omega_over_kappa0" else canon.T
+        w = om_axis.values
+        x = w * w
+        # Columns of per-gain coefficients against a row of frequencies.
+        up0, lo0, c16 = np.array(
+            [_gain_coefficients(g) for g in g_axis.values]
+        ).T[:, :, None]
+        up, _, s16 = _gain_polynomials((up0, lo0, c16), x)
+        if quantity == "K":
+            canon = _k_formula(rp.J0 / lo0, up, s16, x)
+        else:
+            canon = _mu_formula(rp, lo0, up, s16, x)
+        values = canon if x_axis is om_axis else canon.T
     elif quantity in ("R_rel", "S_zout"):
         om_axis = _axis_by_name(x_axis, y_axis, "omega_over_kappa0")
         phi_axis = _axis_by_name(x_axis, y_axis, "phi_over_pi")
-        X, Y = np.meshgrid(x_axis.values, y_axis.values)
-        W = X if om_axis is x_axis else Y
-        P = (X if phi_axis is x_axis else Y) * np.pi
-        if quantity == "R_rel":
-            values = sensitivity(rp, W, P).R_rel
+        w = om_axis.values
+        p = phi_axis.values * np.pi
+        if x_axis is om_axis:
+            w, p = w[None, :], p[:, None]
         else:
-            values = output_spectrum(rp, W, P, s_ex_rel)
+            w, p = w[:, None], p[None, :]
+        if quantity == "R_rel":
+            values = sensitivity(rp, w, p).R_rel
+        else:
+            values = output_spectrum(rp, w, p, s_ex_rel)
     else:
         raise InvalidParameterError(
             f"unknown sweep quantity {quantity!r}; "
@@ -205,36 +230,6 @@ def _golden_min(
             if fd < best_f:
                 best_x, best_f = d, fd
     return best_x, best_f
-
-
-def minimize_phase(rp: ReducedParams, omega_tilde: float) -> tuple[float, float]:
-    """Numerically minimize R_rel over the homodyne angle.
-
-    Scans an interior grid of (-pi/2, pi/2) and refines the best
-    bracket by golden section.  Returns ``(phi_star, R_star)``.  This
-    is the scan route; the closed form lives in
-    :func:`pasense.response.optimal_phase`, and the two are only ever
-    compared in tests, never merged.
-
-    With the drive off the sensitivity is flat (infinite) in the angle,
-    and (0.0, inf) is returned.
-    """
-    w = float(omega_tilde)
-    if rp.J0 == 0.0:
-        return 0.0, float(sensitivity(rp, w, 0.0).R_rel)
-    grid = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 723)[1:-1]
-    coarse = sensitivity(rp, w, grid).R_rel
-    i = int(np.argmin(coarse))
-    lo = grid[i - 1] if i > 0 else -0.5 * np.pi
-    hi = grid[i + 1] if i < grid.size - 1 else 0.5 * np.pi
-
-    def objective(p: float) -> float:
-        return float(sensitivity(rp, w, p).R_rel)
-
-    phi_star, r_star = _golden_min(objective, lo, hi, 1e-9)
-    if coarse[i] <= r_star:
-        return float(grid[i]), float(coarse[i])
-    return phi_star, r_star
 
 
 def minimize_mu_over_frequency(
@@ -295,21 +290,41 @@ class ContourSet:
 # Contour segments per marching-squares case, as (edge, edge) pairs.
 # Corner bit order: 1 = bottom-left, 2 = bottom-right, 4 = top-right,
 # 8 = top-left.  Cases 0 and 15 carry nothing; 5 and 10 are saddles
-# resolved by the cell-center mean.
+# resolved by the cell-center mean, and become 21 and 26 when that mean
+# lies above the level.
 _CASE_SEGMENTS = {
     1: [("left", "bottom")],
     2: [("bottom", "right")],
     3: [("left", "right")],
     4: [("right", "top")],
+    5: [("left", "bottom"), ("right", "top")],
     6: [("bottom", "top")],
     7: [("left", "top")],
     8: [("left", "top")],
     9: [("bottom", "top")],
+    10: [("bottom", "right"), ("top", "left")],
     11: [("right", "top")],
     12: [("left", "right")],
     13: [("bottom", "right")],
     14: [("left", "bottom")],
+    21: [("bottom", "right"), ("top", "left")],
+    26: [("left", "bottom"), ("right", "top")],
 }
+_EDGES = ("bottom", "top", "left", "right")
+
+
+def _segment_arrays() -> tuple[np.ndarray, np.ndarray]:
+    # _CASE_SEGMENTS as arrays: segment count and edge slots per case.
+    count = np.zeros(32, dtype=np.intp)
+    edges = np.zeros((32, 2, 2), dtype=np.intp)
+    for case, pairs in _CASE_SEGMENTS.items():
+        count[case] = len(pairs)
+        for k, pair in enumerate(pairs):
+            edges[case, k] = [_EDGES.index(e) for e in pair]
+    return count, edges
+
+
+_SEGMENT_COUNT, _SEGMENT_EDGES = _segment_arrays()
 
 
 def extract_contour(grid: SweepGrid, level: float) -> ContourSet:
@@ -320,96 +335,109 @@ def extract_contour(grid: SweepGrid, level: float) -> ContourSet:
     points exactly.  Saddle cells are disambiguated with the mean of
     the four corners.  Segments sharing an edge vertex are chained into
     polylines; a level outside the data range yields an empty set.
+    Polylines come in a fixed order: open paths first, each from the
+    end whose edge the row-major cell scan meets first, then closed
+    loops.
     """
     V = np.asarray(grid.values, dtype=float)
     xs = np.asarray(grid.x_values, dtype=float)
     ys = np.asarray(grid.y_values, dtype=float)
     level = float(level)
-    above = V > level
-    bl = above[:-1, :-1]
-    br = above[:-1, 1:]
-    tr = above[1:, 1:]
-    tl = above[1:, :-1]
+    nx = V.shape[1]
+    above = (V > level).view(np.uint8)
     case = (
-        bl.astype(np.uint8)
-        | (br.astype(np.uint8) << 1)
-        | (tr.astype(np.uint8) << 2)
-        | (tl.astype(np.uint8) << 3)
+        above[:-1, :-1]
+        | (above[:-1, 1:] << 1)
+        | (above[1:, 1:] << 2)
+        | (above[1:, :-1] << 3)
     )
-    cells = np.argwhere((case != 0) & (case != 15))
+    cells = np.flatnonzero((case != 0) & (case != 15))
+    if cells.size == 0:
+        return ContourSet(level=level, polylines=[])
+    j, i = np.divmod(cells, nx - 1)
+    c = case.ravel()[cells].astype(np.intp)
+    saddle = np.flatnonzero((c == 5) | (c == 10))
+    js, i_s = j[saddle], i[saddle]
+    center = 0.25 * (
+        V[js, i_s] + V[js, i_s + 1] + V[js + 1, i_s] + V[js + 1, i_s + 1]
+    )
+    c[saddle] += 16 * (center > level)
 
-    points: dict[tuple, tuple[float, float]] = {}
-
-    def edge_point(edge_id: tuple) -> tuple:
-        # edge_id = (j, i, orient), orient 0 horizontal / 1 vertical.
-        if edge_id not in points:
-            j, i, orient = edge_id
-            v0 = V[j, i]
-            if orient == 0:
-                v1 = V[j, i + 1]
-                s = (level - v0) / (v1 - v0)
-                points[edge_id] = (xs[i] + s * (xs[i + 1] - xs[i]), ys[j])
-            else:
-                v1 = V[j + 1, i]
-                s = (level - v0) / (v1 - v0)
-                points[edge_id] = (xs[i], ys[j] + s * (ys[j + 1] - ys[j]))
-        return edge_id
-
-    segments: list[tuple[tuple, tuple]] = []
-    for j, i in cells:
-        names = {
-            "bottom": (j, i, 0),
-            "top": (j + 1, i, 0),
-            "left": (j, i, 1),
-            "right": (j, i + 1, 1),
-        }
-        c = int(case[j, i])
-        if c == 5 or c == 10:
-            center = 0.25 * (V[j, i] + V[j, i + 1] + V[j + 1, i] + V[j + 1, i + 1])
-            if c == 5:
-                pairs = (
-                    [("bottom", "right"), ("top", "left")]
-                    if center > level
-                    else [("left", "bottom"), ("right", "top")]
-                )
-            else:
-                pairs = (
-                    [("left", "bottom"), ("right", "top")]
-                    if center > level
-                    else [("bottom", "right"), ("top", "left")]
-                )
-        else:
-            pairs = _CASE_SEGMENTS[c]
-        for a, b in pairs:
-            segments.append((edge_point(names[a]), edge_point(names[b])))
-
-    adjacency: dict[tuple, list] = defaultdict(list)
-    for a, b in segments:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
-    def walk(start: tuple) -> list:
-        path = [start]
-        while adjacency[path[-1]]:
-            cur = path[-1]
-            nxt = adjacency[cur][0]
-            adjacency[cur].remove(nxt)
-            adjacency[nxt].remove(cur)
-            path.append(nxt)
-        return path
-
-    polylines = []
-    # Open paths first, from their endpoints; what remains are loops.
-    for node in [n for n, nbrs in adjacency.items() if len(nbrs) == 1]:
-        if adjacency[node]:
-            polylines.append(walk(node))
-    for node in list(adjacency):
-        if adjacency[node]:
-            polylines.append(walk(node))
-    arrays = [
-        np.array([points[e] for e in path], dtype=float) for path in polylines
+    # Segments in cell order, two per saddle; each end is an edge id
+    # 2 * (j * nx + i) + orient (0 horizontal, 1 vertical), so bottom,
+    # top, left and right sit at these offsets from the cell's bottom.
+    count = _SEGMENT_COUNT[c]
+    seg_cell = np.repeat(np.arange(cells.size), count)
+    second = np.arange(seg_cell.size) - np.repeat(np.cumsum(count) - count, count)
+    offsets = np.array([0, 2 * nx, 1, 3])
+    ends = 2 * (j * nx + i)[seg_cell, None] + offsets[
+        _SEGMENT_EDGES[c[seg_cell], second]
     ]
-    return ContourSet(level=level, polylines=arrays)
+
+    # Number the edges 0, 1, ... in order of first appearance among the
+    # segment ends, the order in which the chaining below visits them.
+    edge_ids, first, inverse = np.unique(
+        ends.ravel(), return_index=True, return_inverse=True
+    )
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    node = rank[inverse]
+    edge_ids = edge_ids[by_first]
+
+    # Vertex of each edge, interpolated exactly as (level - v0) / (v1 - v0).
+    orient = edge_ids & 1
+    ej, ei = np.divmod(edge_ids >> 1, nx)
+    v0 = V[ej, ei]
+    frac = (level - v0) / (V[ej + orient, ei + 1 - orient] - v0)
+    px = xs[ei]
+    py = ys[ej]
+    h = orient == 0
+    px[h] = xs[ei[h]] + frac[h] * (xs[ei[h] + 1] - xs[ei[h]])
+    v = ~h
+    py[v] = ys[ej[v]] + frac[v] * (ys[ej[v] + 1] - ys[ej[v]])
+
+    # Each edge lies on one or two segments: list them, and the edge at
+    # their other end, in segment order.
+    positions = np.argsort(node, kind="stable")
+    degree = np.bincount(node)
+    start = np.cumsum(degree) - degree
+    p0 = positions[start]
+    p1 = positions[np.minimum(start + 1, node.size - 1)]
+    seg0, nbr0 = (p0 >> 1).tolist(), node[p0 ^ 1].tolist()
+    seg1, nbr1 = np.where(degree == 2, p1 >> 1, -1).tolist(), node[p1 ^ 1].tolist()
+    used = bytearray(seg_cell.size)
+    path: list[int] = []
+    lengths: list[int] = []
+
+    def walk(cur: int) -> None:
+        # Follow unused segments from cur, first-listed first.
+        n = len(path)
+        path.append(cur)
+        while True:
+            s = seg0[cur]
+            if not used[s]:
+                cur = nbr0[cur]
+            else:
+                s = seg1[cur]
+                if s < 0 or used[s]:
+                    break
+                cur = nbr1[cur]
+            used[s] = 1
+            path.append(cur)
+        lengths.append(len(path) - n)
+
+    # Open paths first, from their endpoints; what remains are loops.
+    for e in np.flatnonzero(degree == 1).tolist():
+        if not used[seg0[e]]:
+            walk(e)
+    for e in range(len(seg0)):
+        if not used[seg0[e]]:
+            walk(e)
+    xy = np.column_stack([px, py])[path]
+    return ContourSet(
+        level=level, polylines=np.split(xy, np.cumsum(lengths)[:-1])
+    )
 
 
 # Calibration shared by both benchmark tables: a 100 ng particle in a

@@ -26,7 +26,7 @@ from .errors import (
     ResonanceDomainError,
 )
 from .params import ReducedParams
-from .response import _checked_omega, _gain_polynomials
+from .response import _checked_omega, _gain_coefficients, _gain_polynomials
 
 _HALF_PI = 0.5 * np.pi
 
@@ -90,7 +90,7 @@ def oscillator_sensitivity(
     wm, w, p = np.broadcast_arrays(wm, w, p)
     x = w * w
     xm = wm * wm
-    up, lo, s16 = _gain_polynomials(rp.g, x)
+    up, lo, s16 = _gain_polynomials(_gain_coefficients(rp.g), x)
     A = up / lo
     # Trap-stiffened measurement strength; reduces to the free K at xm = 0.
     K_mo = rp.J * s16 / (up * (x - xm))

@@ -32,19 +32,45 @@ _HALF_PI = 0.5 * np.pi
 
 def _checked_omega(omega_tilde: Any) -> np.ndarray:
     w = np.asarray(omega_tilde, dtype=float)
-    if not np.all(w > 0):
-        raise DomainError(f"omega_tilde must be > 0, got {omega_tilde!r}")
+    # NaN propagates through min and max, so these two reductions reject
+    # NaN, zero, negatives and +inf alike.
+    if w.size and not (0.0 < w.min() and w.max() < np.inf):
+        raise DomainError(
+            f"omega_tilde must be finite and > 0, got {omega_tilde!r}"
+        )
     return w
 
 
-def _gain_polynomials(g: float, x: np.ndarray):
-    # x is omega_tilde squared.  "up" belongs to the amplified
-    # quadrature, "lo" to the deamplified one, "s16" to the force
-    # transfer; all three are strictly positive for x > 0, g < 1/2.
-    up = (1.0 + 2.0 * g) ** 2 + x
-    lo = (1.0 - 2.0 * g) ** 2 + x
-    s16 = x + 16.0 * g * g
-    return up, lo, s16
+def _gain_coefficients(g: Any) -> tuple[float, float, float]:
+    # (1 + 2g)^2, (1 - 2g)^2 and 16 g^2 as Python floats.  Python's pow()
+    # and numpy's array square round differently for some g, so every
+    # caller takes these from here, sweep's gain columns included.
+    g = float(g)
+    return (1.0 + 2.0 * g) ** 2, (1.0 - 2.0 * g) ** 2, 16.0 * g * g
+
+
+def _gain_polynomials(coefficients, x: Any):
+    # x is omega_tilde squared; coefficients come from _gain_coefficients,
+    # as scalars or as columns that broadcast against x.  "up" belongs to
+    # the amplified quadrature, "lo" to the deamplified one, "s16" to the
+    # force transfer; all three are strictly positive for x > 0, g < 1/2.
+    up0, lo0, c16 = coefficients
+    return up0 + x, lo0 + x, x + c16
+
+
+def _k_formula(J: Any, up: Any, s16: Any, x: Any) -> Any:
+    # Measurement strength K; J = J0 / (1 - 2g)^2.
+    return J * s16 / (up * x)
+
+
+def _mu_formula(rp: ReducedParams, squeeze: Any, up: Any, s16: Any, x: Any) -> Any:
+    # Phase-optimized sensitivity.  rp supplies J0, gam and theta only;
+    # the gain enters through squeeze = (1 - 2g)^2 and the polynomials.
+    xg = x + rp.gam * rp.gam
+    with np.errstate(divide="ignore"):
+        floor = up * xg * squeeze / (4.0 * rp.J0 * s16)
+    residual = rp.J0 * s16 * rp.gam * rp.gam / (4.0 * squeeze * up * xg * x)
+    return floor + residual + rp.theta * rp.gam / x
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +96,17 @@ class KernelSet:
     B: Any
 
 
+def _transfer(rp: ReducedParams, w: np.ndarray):
+    # A, K, Kn and B of the KernelSet at checked frequencies w: all but u.
+    x = w * w
+    up, lo, s16 = _gain_polynomials(_gain_coefficients(rp.g), x)
+    K = _k_formula(rp.J, up, s16, x)
+    # Built from K so that Kn == K holds bitwise at zero damping.
+    damp = 1.0 + 1j * (rp.gam / w)
+    Kn = K / damp
+    return up / lo, K, Kn, np.sqrt(2.0 * Kn / damp)
+
+
 def kernels(rp: ReducedParams, omega_tilde: Any) -> KernelSet:
     """Evaluate the response kernels at one or many reduced frequencies.
 
@@ -78,15 +115,9 @@ def kernels(rp: ReducedParams, omega_tilde: Any) -> KernelSet:
     """
     w = _checked_omega(omega_tilde)
     g = rp.g
-    x = w * w
-    up, lo, s16 = _gain_polynomials(g, x)
-    A = up / lo
-    K = rp.J * s16 / (up * x)
-    # Built from K so that Kn == K holds bitwise at zero damping.
-    damp = 1.0 + 1j * (rp.gam / w)
-    Kn = K / damp
+    A, K, Kn, B = _transfer(rp, w)
+    up, _, s16 = _gain_polynomials(_gain_coefficients(g), w * w)
     u = 1j * np.sqrt(s16 / up) * ((1.0 + 2.0 * g) - 1j * w) / (w + 4j * g)
-    B = np.sqrt(2.0 * Kn / damp)
     return KernelSet(A=A, K=K, Kn=Kn, u=u, B=B)
 
 
@@ -119,15 +150,16 @@ def output_spectrum(
         raise InvalidParameterError(f"s_ex_rel must be >= 0, got {s_ex_rel}")
     w = _checked_omega(omega_tilde)
     p = np.asarray(phi, dtype=float)
-    w, p = np.broadcast_arrays(w, p)
-    k = kernels(rp, w)
+    # Kernels on the frequencies and cos/sin on the angles as given;
+    # only the terms that mix the two are broadcast.
+    A, _, Kn, B = _transfer(rp, w)
     c = np.cos(p)
     s = np.sin(p)
-    b2 = np.real(k.B * np.conj(k.B))
+    b2 = np.real(B * np.conj(B))
     force_background = rp.theta * rp.gam / (w * w) + s_ex_rel
-    return k.A * (
+    return A * (
         0.5 * c * c
-        + 0.5 * np.abs(k.Kn * c + s / k.A) ** 2
+        + 0.5 * np.abs(Kn * c + s / A) ** 2
         + b2 * c * c * force_background
     )
 
@@ -136,9 +168,11 @@ def output_spectrum(
 class SensitivityPoint:
     """Force-noise budget at given frequency and homodyne angle.
 
-    All fields are broadcast to a common shape.  R_rel is the total
-    noise-to-signal ratio relative to the free-mass standard quantum
-    limit and equals shot + backaction + thermal.
+    All fields are broadcast to a common shape; ``omega_tilde``,
+    ``phi``, ``shot`` and ``thermal`` are read-only broadcast views of
+    arrays that vary along the frequency or the angle only.  R_rel is
+    the total noise-to-signal ratio relative to the free-mass standard
+    quantum limit and equals shot + backaction + thermal.
     """
 
     omega_tilde: Any
@@ -163,23 +197,25 @@ def sensitivity(rp: ReducedParams, omega_tilde: Any, phi: Any) -> SensitivityPoi
         raise DivergentSensitivityError(
             "phi = +-pi/2: phase quadrature carries no force signal"
         )
-    w, p = np.broadcast_arrays(w, p)
-    k = kernels(rp, w)
-    b2 = np.real(k.B * np.conj(k.B))
+    # Kernels on the frequencies and tan on the angles as given; only
+    # the terms that mix the two are broadcast.
+    A, _, Kn, B = _transfer(rp, w)
+    b2 = np.real(B * np.conj(B))
     t = np.tan(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         shot = 1.0 / (2.0 * b2)
-        backaction = shot * np.abs(k.Kn + t / k.A) ** 2
+        backaction = shot * np.abs(Kn + t / A) ** 2
     # No drive means no measurement backaction, not an indeterminate 0*inf.
     backaction = np.where(b2 == 0.0, 0.0, backaction)
-    thermal = np.broadcast_to(rp.theta * rp.gam / (w * w), shot.shape)
+    thermal = rp.theta * rp.gam / (w * w)
+    shape = backaction.shape
     return SensitivityPoint(
-        omega_tilde=w,
-        phi=p,
+        omega_tilde=np.broadcast_to(w, shape),
+        phi=np.broadcast_to(p, shape),
         R_rel=shot + backaction + thermal,
-        shot=shot,
+        shot=np.broadcast_to(shot, shape),
         backaction=backaction,
-        thermal=thermal,
+        thermal=np.broadcast_to(thermal, shape),
     )
 
 
@@ -192,7 +228,7 @@ def optimal_phase(rp: ReducedParams, omega_tilde: Any) -> Any:
     """
     w = _checked_omega(omega_tilde)
     x = w * w
-    _, lo, s16 = _gain_polynomials(rp.g, x)
+    _, lo, s16 = _gain_polynomials(_gain_coefficients(rp.g), x)
     return np.arctan(-rp.J * s16 / (lo * (x + rp.gam * rp.gam)))
 
 
@@ -206,12 +242,7 @@ def mu(rp: ReducedParams, omega_tilde: Any) -> Any:
     two routes can be cross-checked against each other.
     """
     w = _checked_omega(omega_tilde)
-    g = rp.g
     x = w * w
-    up, _, s16 = _gain_polynomials(g, x)
-    xg = x + rp.gam * rp.gam
-    squeeze = (1.0 - 2.0 * g) ** 2
-    with np.errstate(divide="ignore"):
-        floor = up * xg * squeeze / (4.0 * rp.J0 * s16)
-    residual = rp.J0 * s16 * rp.gam * rp.gam / (4.0 * squeeze * up * xg * x)
-    return floor + residual + rp.theta * rp.gam / x
+    coefficients = _gain_coefficients(rp.g)
+    up, _, s16 = _gain_polynomials(coefficients, x)
+    return _mu_formula(rp, coefficients[1], up, s16, x)

