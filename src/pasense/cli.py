@@ -27,6 +27,7 @@ written only on success, to --out or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import DomainError, InvalidParameterError, InvalidRangeError
 from .explore import MAX_POINTS, AxisSpec, extract_contour, reproduce_tables, sweep
 from .oscillator import oscillator_sensitivity, sensitivity_ratio
-from .params import PhysicalParams, ReducedParams
+from .params import _WIRE, _WIRE_OPTIONAL, PhysicalParams, ReducedParams
 from .params import reduce as reduce_params
 from .response import mu, optimal_phase, output_spectrum, sensitivity
 
@@ -49,26 +50,13 @@ class ConfigError(ValueError):
     """Bad config file or inconsistent command-line usage."""
 
 
-_REDUCED_KEYS = ("J0", "G_tilde", "gamma_tilde", "theta")
-_PHYSICAL_REQUIRED = (
-    "kappa0_rad_s",
-    "G_rad_s",
-    "eta_per_m",
-    "mass_kg",
-    "power_W",
-    "wavelength_m",
-)
-_PHYSICAL_OPTIONAL = ("gamma_m_rad_s", "temperature_K", "omega_m_rad_s")
-
-# Default sweep range per axis: (flag prefix, low, high).
-_AXIS_DEFAULTS = {
-    "omega_over_kappa0": ("omega", 1e-4, 2.0),
-    "G_over_kappa0": ("g", 0.0, 0.499),
-    "phi_over_pi": ("phi", -0.4975, 0.4975),
-}
+# ReducedParams field -> flag destination; the SI flags are params._WIRE.
+_REDUCED_FLAGS = {"J0": "J0", "g": "G_tilde", "gam": "gamma_tilde", "theta": "theta"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import, and then kept for the process.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat JSON file of flag values")
     common.add_argument("--out", help="output file (default: stdout)")
@@ -92,15 +80,41 @@ def _build_parser() -> argparse.ArgumentParser:
     rows.add_argument("--omega", help="frequencies: a,b,c or min:max:count")
     phases = argparse.ArgumentParser(add_help=False)
     phases.add_argument(
-        "--phi-over-pi",
+        "--phi-over-pi", default="opt",
         help="homodyne angles in units of pi, or 'opt' (default)",
     )
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--omega-min", type=float, help="default 1e-4")
-    grid.add_argument("--omega-max", type=float, help="default 2.0")
-    grid.add_argument("--g-min", type=float, help="gain axis, default 0")
-    grid.add_argument("--g-max", type=float, help="gain axis, default 0.499")
-    grid.add_argument("--resolution", help="N or NxM grid points (default 200)")
+    grid.add_argument("--omega-min", type=float, default=1e-4, help="default 1e-4")
+    grid.add_argument("--omega-max", type=float, default=2.0, help="default 2.0")
+    grid.add_argument("--g-min", type=float, default=0.0, help="gain axis, default 0")
+    grid.add_argument(
+        "--g-max", type=float, default=0.499, help="gain axis, default 0.499"
+    )
+    grid.add_argument(
+        "--resolution", default="200", help="N or NxM grid points (default 200)"
+    )
+    background = argparse.ArgumentParser(add_help=False)
+    background.add_argument(
+        "--s-ex-rel", type=float, default=0.0,
+        help="external force background, SQL units",
+    )
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--quantity", choices=("K", "mu", "R_rel"), required=True)
+    level.add_argument("--level", type=float, required=True)
+    level.add_argument(
+        "--phi-min", type=float, default=-0.4975,
+        help="R_rel y axis, default -0.4975",
+    )
+    level.add_argument(
+        "--phi-max", type=float, default=0.4975,
+        help="R_rel y axis, default 0.4975",
+    )
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument(
+        "--table", choices=("1", "2", "both"), default="both", help="default both"
+    )
+    trap = argparse.ArgumentParser(add_help=False)
+    trap.add_argument("--omega-m-tilde", type=float, help="trap frequency / kappa0")
 
     parser = argparse.ArgumentParser(
         prog="pasense",
@@ -108,37 +122,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "cavity and intracavity parametric gain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "sensitivity", parents=[common, rows, phases],
-        help="force-noise budget R_rel",
-    )
-    p = sub.add_parser(
-        "spectrum", parents=[common, rows, phases],
-        help="output quadrature noise S_zout",
-    )
-    p.add_argument(
-        "--s-ex-rel", type=float, help="external force background, SQL units"
-    )
-    sub.add_parser(
-        "mu-map", parents=[common, grid], help="phase-optimized mu over (omega, G)"
-    )
-    p = sub.add_parser(
-        "contour", parents=[common, grid], help="level set of K, mu or R_rel"
-    )
-    p.add_argument("--quantity", choices=("K", "mu", "R_rel"), required=True)
-    p.add_argument("--level", type=float, required=True)
-    p.add_argument("--phi-min", type=float, help="R_rel y axis, default -0.4975")
-    p.add_argument("--phi-max", type=float, help="R_rel y axis, default 0.4975")
-    p = sub.add_parser(
-        "tables", parents=[common], help="benchmark sensitivity tables"
-    )
-    p.add_argument("--table", choices=("1", "2", "both"), help="default both")
-    p = sub.add_parser(
-        "oscillator", parents=[common, rows], help="trapped vs free comparison"
-    )
-    p.add_argument(
-        "--omega-m-tilde", type=float, help="trap frequency / kappa0"
-    )
+    # One row per command: name, help, flag sets and runner.
+    for name, help_text, parents, run in (
+        ("sensitivity", "force-noise budget R_rel",
+         [common, rows, phases], _run_sensitivity),
+        ("spectrum", "output quadrature noise S_zout",
+         [common, rows, phases, background], _run_spectrum),
+        ("mu-map", "phase-optimized mu over (omega, G)",
+         [common, grid], _run_mu_map),
+        ("contour", "level set of K, mu or R_rel",
+         [common, grid, level], _run_contour),
+        ("tables", "benchmark sensitivity tables", [common, table], _run_tables),
+        ("oscillator", "trapped vs free comparison",
+         [common, rows, trap], _run_oscillator),
+    ):
+        sub.add_parser(name, parents=parents, help=help_text).set_defaults(run=run)
     return parser
 
 
@@ -159,7 +157,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
         raise ConfigError("config must be a JSON object of flag values")
     flags = []
     for key, value in doc.items():
-        if key in ("config", "command") or not hasattr(args, key):
+        if key in ("config", "command", "run") or not hasattr(args, key):
             raise ConfigError(f"unknown config field: {key!r}")
         if value is None:
             continue
@@ -186,49 +184,35 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         raise
 
 
-def _or_zero(value) -> float:
-    return 0.0 if value is None else value
+def _given(args: argparse.Namespace, flags: dict) -> dict:
+    # {field: value} for each flag in ``flags`` (field -> dest) that is set.
+    return {
+        field: getattr(args, dest) for field, dest in flags.items()
+        if getattr(args, dest) is not None
+    }
 
 
 def _resolve_params(args: argparse.Namespace) -> ReducedParams:
-    reduced_given = any(
-        getattr(args, k) is not None for k in _REDUCED_KEYS
-    )
-    physical_given = any(
-        getattr(args, k) is not None
-        for k in _PHYSICAL_REQUIRED + _PHYSICAL_OPTIONAL
-    )
-    if reduced_given:
-        if physical_given:
+    reduced = _given(args, _REDUCED_FLAGS)
+    physical = _given(args, _WIRE)
+    if reduced:
+        if physical:
             print(
                 "warning: both reduced and physical parameters given; "
                 "reduced values take precedence",
                 file=sys.stderr,
             )
-        if args.J0 is None:
+        if "J0" not in reduced:
             raise ConfigError("reduced parameters need J0")
-        return ReducedParams(
-            J0=args.J0,
-            g=_or_zero(args.G_tilde),
-            gam=_or_zero(args.gamma_tilde),
-            theta=_or_zero(args.theta),
-        )
-    if physical_given:
-        missing = [k for k in _PHYSICAL_REQUIRED if getattr(args, k) is None]
+        return ReducedParams(**reduced)
+    if physical:
+        missing = [
+            wire for field, wire in _WIRE.items()
+            if field not in physical and wire not in _WIRE_OPTIONAL
+        ]
         if missing:
             raise ConfigError(f"missing physical parameter: {missing[0]}")
-        pp = PhysicalParams(
-            kappa0=args.kappa0_rad_s,
-            G=args.G_rad_s,
-            eta=args.eta_per_m,
-            mass=args.mass_kg,
-            power=args.power_W,
-            wavelength=args.wavelength_m,
-            gamma_m=_or_zero(args.gamma_m_rad_s),
-            temperature=_or_zero(args.temperature_K),
-            omega_m=_or_zero(args.omega_m_rad_s),
-        )
-        return reduce_params(pp)
+        return reduce_params(PhysicalParams(**physical))
     raise ConfigError(
         "no parameters given; pass --J0 (reduced) or the physical set"
     )
@@ -272,7 +256,7 @@ def _parse_number_list(spec, name: str, angles: int = 1) -> np.ndarray:
 
 
 def _parse_resolution(spec) -> tuple[int, int]:
-    s = "200" if spec is None else spec.strip().lower()
+    s = spec.strip().lower()
     try:
         if "x" in s:
             a, b = s.split("x", 1)
@@ -287,22 +271,10 @@ def _parse_resolution(spec) -> tuple[int, int]:
     return nx, ny
 
 
-def _axis(args, name: str, num: int) -> AxisSpec:
-    flag, low, high = _AXIS_DEFAULTS[name]
-    start = getattr(args, f"{flag}_min")
-    stop = getattr(args, f"{flag}_max")
-    return AxisSpec(
-        name,
-        low if start is None else start,
-        high if stop is None else stop,
-        num,
-    )
-
-
 def _omega_phi_columns(args, rp) -> tuple[np.ndarray, np.ndarray]:
     # (omega, phi) evaluation columns, phi in radians and varying fastest.
     spec = args.phi_over_pi
-    if spec is None or spec.strip().lower() == "opt":
+    if spec.strip().lower() == "opt":
         omegas = _parse_number_list(args.omega, "omega")
         return omegas, optimal_phase(rp, omegas)
     pops = _parse_number_list(spec, "phi-over-pi")
@@ -343,14 +315,19 @@ def _run_sensitivity(args: argparse.Namespace):
 def _run_spectrum(args: argparse.Namespace):
     rp = _resolve_params(args)
     w, phi = _omega_phi_columns(args, rp)
-    s = output_spectrum(rp, w, phi, _or_zero(args.s_ex_rel))
+    s = output_spectrum(rp, w, phi, args.s_ex_rel)
     return ["omega_over_kappa0,phi_over_pi,S_zout"], (w, phi / np.pi, s)
 
 
-def _sweep(args, rp, quantity: str, y_name: str):
+def _sweep(args, rp, quantity: str):
+    # Frequency on x; the homodyne angle on y for R_rel, else the gain.
     nx, ny = _parse_resolution(args.resolution)
-    x_axis = _axis(args, "omega_over_kappa0", nx)
-    return sweep(rp, quantity, x_axis, _axis(args, y_name, ny))
+    x_axis = AxisSpec("omega_over_kappa0", args.omega_min, args.omega_max, nx)
+    if quantity == "R_rel":
+        y_axis = AxisSpec("phi_over_pi", args.phi_min, args.phi_max, ny)
+    else:
+        y_axis = AxisSpec("G_over_kappa0", args.g_min, args.g_max, ny)
+    return sweep(rp, quantity, x_axis, y_axis)
 
 
 def _params_note(rp: ReducedParams) -> str:
@@ -359,7 +336,7 @@ def _params_note(rp: ReducedParams) -> str:
 
 def _run_mu_map(args: argparse.Namespace):
     rp = _resolve_params(args)
-    grid = _sweep(args, rp, "mu", "G_over_kappa0")
+    grid = _sweep(args, rp, "mu")
     ny, nx = grid.values.shape
     head = [
         f"# quantity=mu {_params_note(rp)}",
@@ -375,8 +352,7 @@ def _run_mu_map(args: argparse.Namespace):
 
 def _run_contour(args: argparse.Namespace):
     rp = _resolve_params(args)
-    y_name = "phi_over_pi" if args.quantity == "R_rel" else "G_over_kappa0"
-    grid = _sweep(args, rp, args.quantity, y_name)
+    grid = _sweep(args, rp, args.quantity)
     polylines = extract_contour(grid, args.level).polylines
     head = [
         f"# quantity={args.quantity} level={args.level:.17g} "
@@ -389,10 +365,7 @@ def _run_contour(args: argparse.Namespace):
 
 
 def _run_tables(args: argparse.Namespace):
-    rows = [
-        r for r in reproduce_tables()
-        if args.table in (None, "both", str(r.table))
-    ]
+    rows = [r for r in reproduce_tables() if args.table in ("both", str(r.table))]
     fields = ("table", "J0", "T_K", "G_tilde", "omega_tilde_argmin",
               "mu_min", "power_W")
     return (
@@ -426,21 +399,11 @@ def _run_oscillator(args: argparse.Namespace):
     )
 
 
-_RUNNERS = {
-    "sensitivity": _run_sensitivity,
-    "spectrum": _run_spectrum,
-    "mu-map": _run_mu_map,
-    "contour": _run_contour,
-    "tables": _run_tables,
-    "oscillator": _run_oscillator,
-}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)
-        head, columns = _RUNNERS[args.command](args)
+        head, columns = args.run(args)
         _write_csv(args.out, head, *columns)
     except SystemExit as exc:
         code = exc.code

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -452,12 +452,12 @@ TABLE_WAVELENGTH = 1.064e-6
 # minimum sits there, not at an interior point.
 TABLE_BAND = (1e-4, 1.9)
 
-_TABLE1_GAMMA = 1e-5
-_TABLE1_J0 = (0.5, 0.1, 0.02)
-_TABLE1_T = (0.0, 1.0)
-_TABLE2_GAMMA = 1e-3
-_TABLE2_J0 = (0.1, 0.02)
-_TABLE2_T = 0.01
+# (table, gamma_tilde, J0 values, bath temperatures in K); every cell is
+# tabulated at each gain in _TABLE_GAINS.
+_TABLES = (
+    (1, 1e-5, (0.5, 0.1, 0.02), (0.0, 1.0)),
+    (2, 1e-3, (0.1, 0.02), (0.01,)),
+)
 _TABLE_GAINS = (0.0, 0.46)
 
 
@@ -499,39 +499,23 @@ def reproduce_tables() -> list[TableRow]:
     """
     per_watt = _j0_per_watt()
     rows = []
-    for j0 in _TABLE1_J0:
-        for t_kelvin in _TABLE1_T:
-            theta = K_B * t_kelvin / (HBAR * TABLE_KAPPA0)
-            for g in _TABLE_GAINS:
-                rp = ReducedParams(J0=j0, g=g, gam=_TABLE1_GAMMA, theta=theta)
-                w_star, mu_star = minimize_mu_over_frequency(rp, TABLE_BAND)
-                rows.append(
-                    TableRow(
-                        table=1,
-                        J0=j0,
-                        T_K=t_kelvin,
-                        G_tilde=g,
-                        omega_tilde_argmin=w_star,
-                        mu_min=mu_star,
-                        gamma_tilde=_TABLE1_GAMMA,
-                        power_W=j0 / per_watt,
+    for table, gam, j0s, temperatures in _TABLES:
+        for j0 in j0s:
+            for t_kelvin in temperatures:
+                theta = K_B * t_kelvin / (HBAR * TABLE_KAPPA0)
+                for g in _TABLE_GAINS:
+                    rp = ReducedParams(J0=j0, g=g, gam=gam, theta=theta)
+                    w_star, mu_star = minimize_mu_over_frequency(rp, TABLE_BAND)
+                    rows.append(
+                        TableRow(
+                            table=table,
+                            J0=j0,
+                            T_K=t_kelvin,
+                            G_tilde=g,
+                            omega_tilde_argmin=w_star,
+                            mu_min=mu_star,
+                            gamma_tilde=gam,
+                            power_W=j0 / per_watt,
+                        )
                     )
-                )
-    theta2 = K_B * _TABLE2_T / (HBAR * TABLE_KAPPA0)
-    for j0 in _TABLE2_J0:
-        for g in _TABLE_GAINS:
-            rp = ReducedParams(J0=j0, g=g, gam=_TABLE2_GAMMA, theta=theta2)
-            w_star, mu_star = minimize_mu_over_frequency(rp, TABLE_BAND)
-            rows.append(
-                TableRow(
-                    table=2,
-                    J0=j0,
-                    T_K=_TABLE2_T,
-                    G_tilde=g,
-                    omega_tilde_argmin=w_star,
-                    mu_min=mu_star,
-                    gamma_tilde=_TABLE2_GAMMA,
-                    power_W=j0 / per_watt,
-                )
-            )
     return rows

@@ -20,15 +20,24 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (
-    DivergentSensitivityError,
-    InvalidParameterError,
-    ResonanceDomainError,
-)
+from .errors import InvalidParameterError, ResonanceDomainError
 from .params import ReducedParams
-from .response import _checked_omega, _gain_coefficients, _gain_polynomials
+from .response import (
+    _checked_omega,
+    _checked_phase,
+    _gain_coefficients,
+    _gain_polynomials,
+)
 
-_HALF_PI = 0.5 * np.pi
+
+def _checked_trap(omega_m_tilde: Any) -> np.ndarray:
+    wm = np.asarray(omega_m_tilde, dtype=float)
+    # As in _checked_omega: NaN fails both comparisons.
+    if wm.size and not (0.0 <= wm.min() and wm.max() < np.inf):
+        raise InvalidParameterError(
+            f"omega_m_tilde must be finite and >= 0, got {omega_m_tilde!r}"
+        )
+    return wm
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +61,7 @@ def sensitivity_ratio(omega_m_tilde: Any, omega_tilde: Any) -> Any:
     identity, finite for every positive frequency: it vanishes at the
     trap resonance and approaches one far above it.
     """
-    wm = np.asarray(omega_m_tilde, dtype=float)
-    if np.any(wm < 0):
-        raise InvalidParameterError("omega_m_tilde must be >= 0")
+    wm = _checked_trap(omega_m_tilde)
     w = _checked_omega(omega_tilde)
     r = 1.0 - (wm / w) ** 2
     return r * r
@@ -74,15 +81,9 @@ def oscillator_sensitivity(
         raise InvalidParameterError(
             "trapped-particle model is lossless only: gam and theta must be 0"
         )
-    wm = np.asarray(omega_m_tilde, dtype=float)
-    if np.any(wm < 0):
-        raise InvalidParameterError("omega_m_tilde must be >= 0")
+    wm = _checked_trap(omega_m_tilde)
     w = _checked_omega(omega_tilde)
-    p = np.asarray(phi, dtype=float)
-    if np.any(np.abs(p) >= _HALF_PI):
-        raise DivergentSensitivityError(
-            "phi = +-pi/2: phase quadrature carries no force signal"
-        )
+    p = _checked_phase(phi)
     if np.any(w <= wm):
         raise ResonanceDomainError(
             "omega_tilde must lie above the trap resonance omega_m_tilde"

@@ -86,6 +86,12 @@ def steady_state_amplitude(eps_l: float, kappa0: float, G: float) -> float:
     return math.sqrt(2.0 * kappa0) * eps_l / (kappa0 - 2.0 * G)
 
 
+def _check_finite_nonnegative(name: str, val: float) -> None:
+    # NaN fails every comparison, so this also rejects NaN and inf.
+    if not 0.0 <= val < math.inf:
+        raise InvalidParameterError(f"{name} must be finite and >= 0, got {val}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Experimental knobs in SI units.
@@ -114,12 +120,12 @@ class PhysicalParams:
     def __post_init__(self) -> None:
         for name in ("kappa0", "eta", "mass", "wavelength"):
             val = getattr(self, name)
-            if not val > 0:
-                raise InvalidParameterError(f"{name} must be > 0, got {val}")
+            if not 0.0 < val < math.inf:
+                raise InvalidParameterError(
+                    f"{name} must be finite and > 0, got {val}"
+                )
         for name in ("power", "gamma_m", "temperature", "omega_m"):
-            val = getattr(self, name)
-            if val < 0:
-                raise InvalidParameterError(f"{name} must be >= 0, got {val}")
+            _check_finite_nonnegative(name, getattr(self, name))
         if not check_stability(self.kappa0, self.G):
             raise InstabilityError(
                 f"no steady state: need 0 <= G < kappa0/2, "
@@ -170,18 +176,12 @@ class ReducedParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.J0 < 0:
-            raise InvalidParameterError(f"J0 must be >= 0, got {self.J0}")
-        if self.g < 0:
-            raise InvalidParameterError(f"g must be >= 0, got {self.g}")
+        for name in ("J0", "g", "gam", "theta"):
+            _check_finite_nonnegative(name, getattr(self, name))
         if self.g >= 0.5:
             raise InstabilityError(
                 f"no steady state: need g < 0.5, got g={self.g}"
             )
-        if self.gam < 0:
-            raise InvalidParameterError(f"gam must be >= 0, got {self.gam}")
-        if self.theta < 0:
-            raise InvalidParameterError(f"theta must be >= 0, got {self.theta}")
 
     @property
     def J(self) -> float:

@@ -41,6 +41,15 @@ def _checked_omega(omega_tilde: Any) -> np.ndarray:
     return w
 
 
+def _checked_phase(phi: Any) -> np.ndarray:
+    p = np.asarray(phi, dtype=float)
+    if np.any(np.abs(p) >= _HALF_PI):
+        raise DivergentSensitivityError(
+            "phi = +-pi/2: phase quadrature carries no force signal"
+        )
+    return p
+
+
 def _gain_coefficients(g: Any) -> tuple[float, float, float]:
     # (1 + 2g)^2, (1 - 2g)^2 and 16 g^2 as Python floats.  Python's pow()
     # and numpy's array square round differently for some g, so every
@@ -192,11 +201,7 @@ def sensitivity(rp: ReducedParams, omega_tilde: Any, phi: Any) -> SensitivityPoi
     backaction term is exactly zero.
     """
     w = _checked_omega(omega_tilde)
-    p = np.asarray(phi, dtype=float)
-    if np.any(np.abs(p) >= _HALF_PI):
-        raise DivergentSensitivityError(
-            "phi = +-pi/2: phase quadrature carries no force signal"
-        )
+    p = _checked_phase(phi)
     # Kernels on the frequencies and tan on the angles as given; only
     # the terms that mix the two are broadcast.
     A, _, Kn, B = _transfer(rp, w)

@@ -412,6 +412,28 @@ def test_physical_and_reduced_routes_agree(capsys):
     assert out_p == out_r
 
 
+def test_physical_route_with_every_optional_field(capsys):
+    # Damping and temperature set: the SI route must build the same
+    # PhysicalParams as the library, field for field.
+    optional = ["--gamma-m-rad-s", "62.8", "--temperature-K", "0.5"]
+    rc_p, out_p, _ = run(capsys, [
+        "sensitivity", *PHYS_FLAGS, *optional, "--omega", "0.01:1.9:57",
+    ])
+    assert rc_p == 0
+    rp = reduce(PhysicalParams(
+        kappa0=KAPPA0, G=0.0, eta=4.182e8, mass=1e-10, power=10.0,
+        wavelength=1.064e-6, gamma_m=62.8, temperature=0.5,
+    ))
+    assert rp.gam > 0 and rp.theta > 0
+    rc_r, out_r, _ = run(capsys, [
+        "sensitivity", "--J0", repr(rp.J0), "--G-tilde", repr(rp.g),
+        "--gamma-tilde", repr(rp.gam), "--theta", repr(rp.theta),
+        "--omega", "0.01:1.9:57",
+    ])
+    assert rc_r == 0
+    assert out_p == out_r
+
+
 def test_reduced_wins_over_physical_with_warning(capsys):
     rc, out, err = run(capsys, [
         "sensitivity", "--J0", "0.5", "--mass-kg", "1e-10",
@@ -499,6 +521,24 @@ def test_config_missing_file(capsys, tmp_path):
     assert "cannot read config file" in err
 
 
+def test_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    # The parser is built once per process; a config run must leave
+    # nothing behind for the runs after it.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"J0": 0.3, "omega": "0.2:1.5:9"}))
+    rc, from_config, _ = run(capsys, ["sensitivity", "--config", str(cfg)])
+    assert rc == 0
+    rc, out, err = run(capsys, ["sensitivity"])
+    assert rc == 2
+    assert out == ""
+    assert "no parameters given" in err
+    rc, typed, _ = run(capsys, [
+        "sensitivity", "--J0", "0.3", "--omega", "0.2:1.5:9",
+    ])
+    assert rc == 0
+    assert typed == from_config
+
+
 @pytest.mark.parametrize("command, doc", [
     ("sensitivity", {"J0": "abc", "omega": "1.0"}),
     ("tables", {"table": 3}),
@@ -514,14 +554,35 @@ def test_config_values_pass_argparse_checks(capsys, tmp_path, command, doc):
 
 
 @pytest.mark.parametrize("argv, column", [
-    (["sensitivity", "--J0", "nan", "--omega", "1.0"], "phi_over_pi"),
-], ids=["sensitivity-J0-nan"])
+    # omega^2 underflows to 0, so the optimal angle is 0/0.
+    (["sensitivity", "--J0", "0.5", "--omega", "1e-200"], "phi_over_pi"),
+], ids=["sensitivity-omega-1e-200"])
 def test_nan_result_exits_3_without_output(capsys, tmp_path, argv, column):
     target = tmp_path / "out.csv"
     with np.errstate(all="ignore"):
         rc, out, err = run(capsys, [*argv, "--out", str(target)])
     assert rc == 3
     assert f"NaN) in column {column}" in err
+    assert out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sensitivity", "--J0", "nan", "--omega", "1.0"],
+     "J0 must be finite and >= 0, got nan"),
+    (["sensitivity", *PHYS_FLAGS[:8], "--power-W", "inf", *PHYS_FLAGS[10:],
+      "--omega", "1.0"], "power must be finite and >= 0, got inf"),
+    (["oscillator", "--J0", "0.5", "--omega-m-tilde", "nan", "--omega", "1.0"],
+     "omega_m_tilde must be finite and >= 0"),
+], ids=["sensitivity-J0-nan", "sensitivity-power-inf", "oscillator-trap-nan"])
+def test_non_finite_parameter_exits_3_without_output(
+    capsys, tmp_path, argv, message
+):
+    # Refused by the parameter checks, before any arithmetic.
+    target = tmp_path / "out.csv"
+    rc, out, err = run(capsys, [*argv, "--out", str(target)])
+    assert rc == 3
+    assert message in err
     assert out == ""
     assert not target.exists()
 
@@ -591,7 +652,18 @@ def test_bad_flag_exits_2(capsys):
     assert rc == 2
 
 
-def test_help_exits_0(capsys):
-    rc, out, _ = run(capsys, ["--help"])
+@pytest.mark.parametrize("argv, flag", [
+    ([], "{sensitivity,spectrum,mu-map,contour,tables,oscillator}"),
+    (["sensitivity"], "--phi-over-pi"),
+    (["spectrum"], "--s-ex-rel"),
+    (["mu-map"], "--resolution"),
+    (["contour"], "--quantity"),
+    (["tables"], "--table"),
+    (["oscillator"], "--omega-m-tilde"),
+], ids=["pasense", "sensitivity", "spectrum", "mu-map", "contour", "tables",
+        "oscillator"])
+def test_help_exits_0(capsys, argv, flag):
+    rc, out, _ = run(capsys, [*argv, "--help"])
     assert rc == 0
-    assert "pasense" in out
+    assert out.startswith(f"usage: pasense {' '.join(argv)}".rstrip())
+    assert flag in out

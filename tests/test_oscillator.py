@@ -45,8 +45,11 @@ def test_ratio_array_and_validation():
     w = np.array([0.5, 1.0, 2.0, 4.0])
     r = sensitivity_ratio(wm, w)
     assert r == pytest.approx([9.0, 0.0, 0.5625, 0.87890625], rel=1e-14)
-    with pytest.raises(InvalidParameterError):
-        sensitivity_ratio(-1.0, 2.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            sensitivity_ratio(bad, 2.0)
+    with pytest.raises(DomainError):
+        sensitivity_ratio(1.0, math.nan)
     with pytest.raises(DomainError):
         sensitivity_ratio(1.0, 0.0)
 
@@ -110,8 +113,9 @@ def test_lossless_only():
 
 def test_input_validation():
     rp = ReducedParams(J0=0.5)
-    with pytest.raises(InvalidParameterError):
-        oscillator_sensitivity(rp, -0.1, 1.0, 0.0)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            oscillator_sensitivity(rp, bad, 1.0, 0.0)
     with pytest.raises(DivergentSensitivityError):
         oscillator_sensitivity(rp, 0.5, 1.0, math.pi / 2)
     with pytest.raises(DomainError):

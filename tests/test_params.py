@@ -181,6 +181,14 @@ def test_reduced_validation():
         ReducedParams(J0=0.5, gam=-1e-5)
     with pytest.raises(InvalidParameterError):
         ReducedParams(J0=0.5, theta=-1.0)
+    for field, bad in (
+        ("J0", math.nan), ("J0", math.inf), ("g", math.nan),
+        ("gam", math.nan), ("gam", math.inf), ("theta", math.inf),
+    ):
+        kw = dict(J0=0.5, g=0.1, gam=1e-5, theta=1.0)
+        kw[field] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ReducedParams(**kw)
     # zero drive is allowed, it just measures nothing
     assert ReducedParams(J0=0.0).J == 0.0
 
@@ -191,6 +199,14 @@ def test_physical_validation():
         ("eta", 0.0),
         ("mass", -1e-10),
         ("wavelength", 0.0),
+        ("power", math.nan),
+        ("power", math.inf),
+        ("kappa0", math.inf),
+        ("eta", math.inf),
+        ("mass", math.inf),
+        ("temperature", math.nan),
+        ("gamma_m", math.inf),
+        ("omega_m", math.nan),
     ):
         kw = dict(
             kappa0=KAPPA0,
