@@ -411,13 +411,11 @@ def test_physical_and_reduced_routes_agree(capsys):
     assert rc_r == 0
     assert out_p == out_r
 
-
-def test_physical_route_with_every_optional_field(capsys):
-    # Damping and temperature set: the SI route must build the same
+    # With damping and temperature set too, the SI route builds the same
     # PhysicalParams as the library, field for field.
-    optional = ["--gamma-m-rad-s", "62.8", "--temperature-K", "0.5"]
     rc_p, out_p, _ = run(capsys, [
-        "sensitivity", *PHYS_FLAGS, *optional, "--omega", "0.01:1.9:57",
+        "sensitivity", *PHYS_FLAGS, "--gamma-m-rad-s", "62.8",
+        "--temperature-K", "0.5", "--omega", "0.01:1.9:57",
     ])
     assert rc_p == 0
     rp = reduce(PhysicalParams(
