@@ -25,7 +25,6 @@ from .params import HBAR, K_B, PhysicalParams, ReducedParams
 from .params import reduce as reduce_params
 from .response import (  # noqa: F401  (kernels: perfbench/tracing.py wraps it here)
     _gain_coefficients,
-    _gain_polynomials,
     _k_formula,
     _mu_formula,
     kernels,
@@ -156,7 +155,9 @@ def sweep(
         up0, lo0, c16 = np.array(
             [_gain_coefficients(g) for g in g_axis.values]
         ).T[:, :, None]
-        up, _, s16 = _gain_polynomials((up0, lo0, c16), x)
+        # The up and s16 sums of _gain_polynomials; K and mu need no lo grid.
+        up = up0 + x
+        s16 = x + c16
         if quantity == "K":
             canon = _k_formula(rp.J0 / lo0, up, s16, x)
         else:
@@ -181,7 +182,9 @@ def sweep(
             "expected K, mu, R_rel or S_zout"
         )
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
+    # NaN propagates through min and max, so these two reductions reject
+    # NaN and +-inf alike.
+    if not (-np.inf < values.min() and values.max() < np.inf):
         raise DomainError(
             f"sweep of {quantity} produced non-finite values on this grid"
         )

@@ -195,12 +195,20 @@ def reduce(params: PhysicalParams) -> ReducedParams:
     ``J0`` is built from the zero-gain intracavity amplitude: the gain
     enters the model only through the ratio g, via the J property.
     """
-    eps_l = drive_amplitude(params.power, params.wavelength)
-    c_s0 = steady_state_amplitude(eps_l, params.kappa0, 0.0)
-    J0 = HBAR * params.eta**2 * c_s0**2 / (params.mass * params.kappa0)
-    return ReducedParams(
-        J0=J0,
-        g=params.G / params.kappa0,
-        gam=params.gamma_m / params.kappa0,
-        theta=K_B * params.temperature / (HBAR * params.kappa0),
-    )
+    # Every field is finite, but extreme ones can still overflow a power
+    # or underflow a denominator to zero in float arithmetic.
+    try:
+        eps_l = drive_amplitude(params.power, params.wavelength)
+        c_s0 = steady_state_amplitude(eps_l, params.kappa0, 0.0)
+        J0 = HBAR * params.eta**2 * c_s0**2 / (params.mass * params.kappa0)
+        return ReducedParams(
+            J0=J0,
+            g=params.G / params.kappa0,
+            gam=params.gamma_m / params.kappa0,
+            theta=K_B * params.temperature / (HBAR * params.kappa0),
+        )
+    except ArithmeticError as exc:
+        raise InvalidParameterError(
+            "SI parameters out of floating-point range "
+            f"({type(exc).__name__} while reducing them)"
+        ) from None

@@ -4,6 +4,8 @@ Everything here works in reduced units: frequencies are measured in
 units of the bare cavity linewidth and enter as ``omega_tilde``, while
 the drive strength, parametric gain, mechanical damping and thermal
 scale ride along in a :class:`~pasense.params.ReducedParams`.
+``omega_tilde`` must lie in [1e-12, 1e12]; outside it every function
+here raises :class:`~pasense.errors.DomainError`.
 
 The detected signal is a homodyne quadrature of the light leaving the
 cavity, selected by the local-oscillator angle ``phi``.  ``phi = 0`` is
@@ -29,21 +31,32 @@ from .params import HBAR, ReducedParams
 
 _HALF_PI = 0.5 * np.pi
 
+# Supported reduced frequencies.  Every quantity here is finite at both
+# ends, with margin (still at 1e-30 and 1e30).  Far outside, products
+# of omega^2 overflow (at 1e60) or omega^2 underflows to zero (at
+# 1e-200), and the closed forms return inf or NaN.
+_OMEGA_RANGE = (1e-12, 1e12)
+
 
 def _checked_omega(omega_tilde: Any) -> np.ndarray:
     w = np.asarray(omega_tilde, dtype=float)
+    low, high = _OMEGA_RANGE
     # NaN propagates through min and max, so these two reductions reject
-    # NaN, zero, negatives and +inf alike.
-    if w.size and not (0.0 < w.min() and w.max() < np.inf):
+    # NaN and out-of-range values alike.
+    if w.size and not (low <= w.min() and w.max() <= high):
         raise DomainError(
-            f"omega_tilde must be finite and > 0, got {omega_tilde!r}"
+            f"omega_tilde must be finite and in [{low:g}, {high:g}], "
+            f"got {omega_tilde!r}"
         )
     return w
 
 
 def _checked_phase(phi: Any) -> np.ndarray:
     p = np.asarray(phi, dtype=float)
-    if np.any(np.abs(p) >= _HALF_PI):
+    # One reduction: NaN propagates through max and fails the comparison.
+    if p.size and not np.abs(p).max() < _HALF_PI:
+        if np.isnan(p).any():
+            raise DomainError(f"phi must not be NaN, got {phi!r}")
         raise DivergentSensitivityError(
             "phi = +-pi/2: phase quadrature carries no force signal"
         )
@@ -67,19 +80,43 @@ def _gain_polynomials(coefficients, x: Any):
     return up0 + x, lo0 + x, x + c16
 
 
+# The closed forms below build each term in place: one fresh product,
+# then augmented assignments on it in the left-to-right order of the
+# plain expression, so every result bit equals the plain expression's
+# and no full-grid temporary is thrown away.  On floats and numpy
+# scalars the augmented assignments simply rebind; callers' arrays are
+# never written to.
+
+
 def _k_formula(J: Any, up: Any, s16: Any, x: Any) -> Any:
-    # Measurement strength K; J = J0 / (1 - 2g)^2.
-    return J * s16 / (up * x)
+    # Measurement strength K = J * s16 / (up * x); J = J0 / (1 - 2g)^2.
+    k = J * s16
+    k /= up * x
+    return k
 
 
 def _mu_formula(rp: ReducedParams, squeeze: Any, up: Any, s16: Any, x: Any) -> Any:
     # Phase-optimized sensitivity.  rp supplies J0, gam and theta only;
     # the gain enters through squeeze = (1 - 2g)^2 and the polynomials.
-    xg = x + rp.gam * rp.gam
+    # floor + residual + theta * gam / x, with
+    #   floor    = up * xg * squeeze / (4 * J0 * s16)
+    #   residual = J0 * s16 * gam * gam / (4 * squeeze * up * xg * x).
+    J0, gam = rp.J0, rp.gam
+    xg = x + gam * gam
+    floor = up * xg
+    floor *= squeeze
     with np.errstate(divide="ignore"):
-        floor = up * xg * squeeze / (4.0 * rp.J0 * s16)
-    residual = rp.J0 * s16 * rp.gam * rp.gam / (4.0 * squeeze * up * xg * x)
-    return floor + residual + rp.theta * rp.gam / x
+        floor /= 4.0 * J0 * s16
+    residual = J0 * s16
+    residual *= gam
+    residual *= gam
+    den = 4.0 * squeeze * up
+    den *= xg
+    den *= x
+    residual /= den
+    floor += residual
+    floor += rp.theta * gam / x
+    return floor
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +233,8 @@ def sensitivity(rp: ReducedParams, omega_tilde: Any, phi: Any) -> SensitivityPoi
     """Force sensitivity relative to the standard quantum limit.
 
     Valid for |phi| < pi/2; at +-pi/2 the signal transfer vanishes and
-    a :class:`DivergentSensitivityError` is raised.  With zero drive
+    a :class:`DivergentSensitivityError` is raised, and a NaN angle is a
+    :class:`DomainError`.  With zero drive
     (J0 = 0) the shot term and the total are infinite while the
     backaction term is exactly zero.
     """
@@ -207,17 +245,26 @@ def sensitivity(rp: ReducedParams, omega_tilde: Any, phi: Any) -> SensitivityPoi
     A, _, Kn, B = _transfer(rp, w)
     b2 = np.real(B * np.conj(B))
     t = np.tan(p)
+    # shot * |Kn + t/A|^2 and shot + backaction + thermal, built in place
+    # on the one broadcast grid each, as the closed forms above are.
     with np.errstate(divide="ignore", invalid="ignore"):
         shot = 1.0 / (2.0 * b2)
-        backaction = shot * np.abs(Kn + t / A) ** 2
+        backaction = np.abs(Kn + t / A)
+        backaction **= 2
+        backaction *= shot
     # No drive means no measurement backaction, not an indeterminate 0*inf.
-    backaction = np.where(b2 == 0.0, 0.0, backaction)
+    # Only a zero b2 needs the substitution, so the grid pass is skipped
+    # without one.
+    if not b2.all():
+        backaction = np.where(b2 == 0.0, 0.0, backaction)
     thermal = rp.theta * rp.gam / (w * w)
+    R_rel = shot + backaction
+    R_rel += thermal
     shape = backaction.shape
     return SensitivityPoint(
         omega_tilde=np.broadcast_to(w, shape),
         phi=np.broadcast_to(p, shape),
-        R_rel=shot + backaction + thermal,
+        R_rel=R_rel,
         shot=np.broadcast_to(shot, shape),
         backaction=backaction,
         thermal=np.broadcast_to(thermal, shape),

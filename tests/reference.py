@@ -1,11 +1,15 @@
-"""Loop and scan forms of library results, kept as test oracles.
+"""Loop, scan and plain-expression forms of library results, kept as
+test oracles.
 
 ``minimize_phase`` finds the optimal homodyne angle by a 721-point scan
 refined by golden section; tests hold the closed form
 :func:`pasense.optimal_phase` to it.  ``extract_contour_loop`` is
 marching squares written one cell at a time with numpy scalars; the
 array form :func:`pasense.extract_contour` must return the same
-polylines, in the same order, bit for bit.
+polylines, in the same order, bit for bit.  ``k_formula``,
+``mu_formula``, ``sweep_gain_grid`` and ``sensitivity_budget`` are the
+closed forms written as single expressions, which the library builds
+in place; its results must equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +20,53 @@ import numpy as np
 
 from pasense import ContourSet, ReducedParams, SweepGrid, sensitivity
 from pasense.explore import _golden_min
+from pasense.response import _gain_coefficients
+
+
+def k_formula(J, up, s16, x):
+    """Measurement strength K as one expression."""
+    return J * s16 / (up * x)
+
+
+def mu_formula(rp: ReducedParams, squeeze, up, s16, x):
+    """Phase-optimized sensitivity as three plain terms."""
+    xg = x + rp.gam * rp.gam
+    with np.errstate(divide="ignore"):
+        floor = up * xg * squeeze / (4.0 * rp.J0 * s16)
+    residual = rp.J0 * s16 * rp.gam * rp.gam / (4.0 * squeeze * up * xg * x)
+    return floor + residual + rp.theta * rp.gam / x
+
+
+def sweep_gain_grid(rp: ReducedParams, quantity: str, w, gains):
+    """K or mu on a (gain, frequency) grid: gain columns, frequency row."""
+    x = w * w
+    up0, lo0, c16 = np.array([_gain_coefficients(g) for g in gains]).T[:, :, None]
+    up, s16 = up0 + x, x + c16
+    if quantity == "K":
+        return k_formula(rp.J0 / lo0, up, s16, x)
+    return mu_formula(rp, lo0, up, s16, x)
+
+
+def sensitivity_budget(rp: ReducedParams, omega_tilde, phi):
+    """(R_rel, backaction) of the force-noise budget, from the kernels up."""
+    w = np.asarray(omega_tilde, dtype=float)
+    p = np.asarray(phi, dtype=float)
+    x = w * w
+    up0, lo0, c16 = _gain_coefficients(rp.g)
+    up, lo, s16 = up0 + x, lo0 + x, x + c16
+    K = k_formula(rp.J, up, s16, x)
+    damp = 1.0 + 1j * (rp.gam / w)
+    Kn = K / damp
+    A = up / lo
+    B = np.sqrt(2.0 * Kn / damp)
+    b2 = np.real(B * np.conj(B))
+    t = np.tan(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shot = 1.0 / (2.0 * b2)
+        backaction = shot * np.abs(Kn + t / A) ** 2
+    backaction = np.where(b2 == 0.0, 0.0, backaction)
+    thermal = rp.theta * rp.gam / (w * w)
+    return shot + backaction + thermal, backaction
 
 
 def minimize_phase(rp: ReducedParams, omega_tilde: float) -> tuple[float, float]:

@@ -35,6 +35,9 @@ PHYS_FLAGS = [
 ]
 
 
+OMEGA_RANGE_ERROR = "omega_tilde must be finite and in [1e-12, 1e+12]"
+
+
 def run(capsys, argv):
     rc = main(argv)
     cap = capsys.readouterr()
@@ -552,13 +555,13 @@ def test_config_values_pass_argparse_checks(capsys, tmp_path, command, doc):
 
 
 @pytest.mark.parametrize("argv, column", [
-    # omega^2 underflows to 0, so the optimal angle is 0/0.
-    (["sensitivity", "--J0", "0.5", "--omega", "1e-200"], "phi_over_pi"),
-], ids=["sensitivity-omega-1e-200"])
+    # The spectrum takes any angle, so a NaN one reaches the writer.
+    (["spectrum", "--J0", "0.5", "--omega", "1.0", "--phi-over-pi", "nan"],
+     "phi_over_pi"),
+], ids=["spectrum-phi-nan"])
 def test_nan_result_exits_3_without_output(capsys, tmp_path, argv, column):
     target = tmp_path / "out.csv"
-    with np.errstate(all="ignore"):
-        rc, out, err = run(capsys, [*argv, "--out", str(target)])
+    rc, out, err = run(capsys, [*argv, "--out", str(target)])
     assert rc == 3
     assert f"NaN) in column {column}" in err
     assert out == ""
@@ -585,25 +588,55 @@ def test_non_finite_parameter_exits_3_without_output(
     assert not target.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["sensitivity", "--J0", "0.5", "--omega", "inf", "--phi-over-pi", "0"],
-    ["spectrum", "--J0", "0.5", "--omega", "inf", "--phi-over-pi", "0"],
-    ["oscillator", "--J0", "0.5", "--omega-m-tilde", "0.1",
-     "--omega", "1.0,inf"],
-], ids=["sensitivity", "spectrum", "oscillator"])
-def test_infinite_omega_exits_3_without_warnings(capsys, tmp_path, argv):
-    # The frequency check runs before any arithmetic, so numpy has
-    # nothing to warn about; no np.errstate here on purpose.
+@pytest.mark.parametrize("argv, message", [
+    (["sensitivity", "--J0", "0.5", "--omega", "inf", "--phi-over-pi", "0"],
+     OMEGA_RANGE_ERROR),
+    (["spectrum", "--J0", "0.5", "--omega", "inf", "--phi-over-pi", "0"],
+     OMEGA_RANGE_ERROR),
+    (["oscillator", "--J0", "0.5", "--omega-m-tilde", "0.1",
+      "--omega", "1.0,inf"], OMEGA_RANGE_ERROR),
+    # Finite, but omega^2 would underflow or overflow.
+    (["sensitivity", "--J0", "0.5", "--omega", "1e-200"],
+     OMEGA_RANGE_ERROR),
+    (["spectrum", "--J0", "0.5", "--omega", "1e200", "--phi-over-pi", "0"],
+     OMEGA_RANGE_ERROR),
+    (["sensitivity", "--J0", "0.5", "--omega", "1.0", "--phi-over-pi", "nan"],
+     "phi must not be NaN"),
+], ids=["sensitivity", "spectrum", "oscillator", "sensitivity-omega-1e-200",
+        "spectrum-omega-1e200", "sensitivity-phi-nan"])
+def test_infinite_omega_exits_3_without_warnings(capsys, tmp_path, argv, message):
+    # Infinite, out-of-range or NaN inputs outside the model's domain.
+    # The domain checks run before any arithmetic, so numpy has nothing
+    # to warn about; no np.errstate here on purpose.
     target = tmp_path / "out.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, out, err = run(capsys, [*argv, "--out", str(target)])
     assert rc == 3
-    assert "omega_tilde must be finite and > 0" in err
+    assert message in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert out == ""
     assert not target.exists()
+
+
+@pytest.mark.parametrize("si_flags", [
+    # eta**2 overflows.
+    ["--kappa0-rad-s", "1", "--eta-per-m", "1e200", "--mass-kg", "1",
+     "--power-W", "1"],
+    # mass * kappa0 underflows to zero.
+    ["--kappa0-rad-s", "1e-300", "--eta-per-m", "1", "--mass-kg", "1e-300",
+     "--power-W", "1e300"],
+], ids=["eta-overflow", "mass-kappa0-underflow"])
+def test_si_parameters_out_of_float_range_exit_3(capsys, si_flags):
+    rc, out, err = run(capsys, [
+        "sensitivity", *si_flags, "--G-rad-s", "0", "--wavelength-m", "1",
+        "--omega", "1",
+    ])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: SI parameters out of floating-point range")
+    assert "Traceback" not in err
 
 
 # Each request is one point over the limit, so a missing check costs

@@ -1,6 +1,7 @@
 """Sweeps, the two 1-D minimizers, contour extraction, benchmark tables."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from pasense import (
     PhysicalParams,
 )
 from pasense.explore import MAX_POINTS, TABLE_BAND
-from reference import extract_contour_loop, minimize_phase
+from reference import (
+    extract_contour_loop,
+    minimize_phase,
+    sensitivity_budget,
+    sweep_gain_grid,
+)
 
 KAPPA0 = 2.0 * math.pi * 1e6
 THETA_1K = 20836.619136094574
@@ -236,6 +242,49 @@ def test_sweep_angle_grid_equals_meshgrid_evaluation_bitwise(nw, nphi):
         flipped = sweep(rp, quantity, pax, wax, s_ex_rel=0.7)
         assert grid.values.tobytes() == full.tobytes()
         assert np.ascontiguousarray(flipped.values.T).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("quantity", ["K", "mu", "R_rel"])
+def test_sweep_matches_plain_expressions_bitwise(quantity):
+    # sweep builds each grid in place; the single-expression forms in
+    # tests/reference.py fix every bit, in both axis orientations.
+    rp = ReducedParams(J0=0.37, g=0.2, gam=3e-4, theta=250.0)
+    wax = AxisSpec("omega_over_kappa0", 1e-4, 2.0, 97)
+    if quantity == "R_rel":
+        yax = AxisSpec("phi_over_pi", -0.4975, 0.4975, 61)
+        expect, _ = sensitivity_budget(
+            rp, wax.values[None, :], yax.values[:, None] * np.pi
+        )
+    else:
+        yax = AxisSpec("G_over_kappa0", 0.0, 0.499, 250)
+        expect = sweep_gain_grid(rp, quantity, wax.values, yax.values)
+    assert sweep(rp, quantity, wax, yax).values.tobytes() == expect.tobytes()
+    flipped = sweep(rp, quantity, yax, wax).values
+    assert np.ascontiguousarray(flipped.T).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("quantity, limit", [("mu", 5.5), ("K", 4.5)])
+def test_sweep_allocates_few_full_grids(quantity, limit):
+    # Peak traced memory in units of one float grid: the up and s16
+    # grids, the result and the temporaries the closed form needs
+    # (mu 5.05, K 4.05).  One more throwaway full-grid temporary breaks
+    # the limit.
+    n = 400
+    args = (
+        ReducedParams(J0=0.37, g=0.2, gam=3e-4, theta=250.0),
+        quantity,
+        AxisSpec("omega_over_kappa0", 1e-4, 2.0, n),
+        AxisSpec("G_over_kappa0", 0.0, 0.499, n),
+    )
+    sweep(*args)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sweep(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * n * 8) <= limit
 
 
 # ----------------------------------------------- mu-map threshold claims

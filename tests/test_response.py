@@ -1,5 +1,6 @@
 """Kernels, output spectrum, sensitivity decomposition, optimal phase."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,10 +14,18 @@ from pasense import (
     kernels,
     mu,
     optimal_phase,
+    oscillator_sensitivity,
     output_spectrum,
     sensitivity,
     sql_force,
 )
+from pasense.response import (
+    _OMEGA_RANGE,
+    _gain_coefficients,
+    _k_formula,
+    _mu_formula,
+)
+from reference import k_formula, mu_formula, sensitivity_budget
 
 THETA_1K = 20836.619136094574
 KAPPA0 = 2.0 * math.pi * 1e6
@@ -184,6 +193,18 @@ def test_divergent_phase_rejected():
     assert np.isfinite(output_spectrum(rp, 1.0, math.pi / 2))
 
 
+def test_nan_phase_is_a_domain_error():
+    # Not a divergence: the angle itself is undefined.
+    for phi in (math.nan, np.array([0.1, math.nan])):
+        for fn in (
+            lambda: sensitivity(ReducedParams(J0=0.5), 1.0, phi),
+            lambda: oscillator_sensitivity(ReducedParams(J0=0.5), 0.1, 1.0, phi),
+        ):
+            with pytest.raises(DomainError, match="phi must not be NaN") as info:
+                fn()
+            assert not isinstance(info.value, DivergentSensitivityError)
+
+
 def test_zero_drive_limits():
     rp = ReducedParams(J0=0.0)
     pt = sensitivity(rp, 1.0, 0.0)
@@ -323,3 +344,93 @@ def test_domain_errors_on_nonpositive_frequency():
     ):
         with pytest.raises(DomainError):
             fn()
+
+
+def test_frequency_outside_the_supported_range_is_a_domain_error():
+    rp = ReducedParams(J0=0.5, g=0.2, gam=1e-4, theta=10.0)
+    low, high = _OMEGA_RANGE
+    for w in (1e-200, np.nextafter(low, 0.0), np.nextafter(high, np.inf), 1e200,
+              np.array([1.0, 1e-200])):
+        for fn in (
+            lambda: kernels(rp, w),
+            lambda: mu(rp, w),
+            lambda: optimal_phase(rp, w),
+            lambda: sensitivity(rp, w, 0.0),
+            lambda: output_spectrum(rp, w, 0.0),
+        ):
+            with pytest.raises(DomainError, match=r"finite and in \[1e-12, 1e\+12\]"):
+                fn()
+
+
+@pytest.mark.parametrize("w", _OMEGA_RANGE, ids=["low", "high"])
+def test_every_quantity_is_finite_at_the_frequency_range_edges(w):
+    # Any numpy warning fails this test, so no intermediate overflows
+    # either.
+    for J0, g, gam, theta in itertools.product(
+        (1e-6, 1e-2, 1.0, 1e6), (0.0, 0.25, 0.4999), (0.0, 1e-6, 1.0), (0.0, 1e8)
+    ):
+        rp = ReducedParams(J0=J0, g=g, gam=gam, theta=theta)
+        ks = kernels(rp, w)
+        values = [mu(rp, w), optimal_phase(rp, w), output_spectrum(rp, w, 0.3),
+                  ks.A, ks.K, ks.Kn, ks.u, ks.B]
+        for phi in (0.0, -1.2):
+            pt = sensitivity(rp, w, phi)
+            values += [pt.R_rel, pt.shot, pt.backaction, pt.thermal]
+        assert all(np.isfinite(v) for v in values), rp
+
+
+def test_closed_forms_match_plain_expressions_bitwise():
+    # The library builds K, mu and the budget in place; each must equal
+    # the single-expression form in tests/reference.py to the last bit,
+    # on 1-D arrays and on scalars.
+    w_row = np.geomspace(1e-4, 2.0, 257)
+    phi_row = np.linspace(-1.5, 1.5, 257)
+    cases = draws(40, seed=41) + [
+        (ReducedParams(J0=0.0, g=0.3, gam=1e-3, theta=5.0), 0.7)
+    ]
+    for rp, w0 in cases:
+        up0, lo0, c16 = _gain_coefficients(rp.g)
+        for w, phi in ((w_row, phi_row), (w0, -0.4), (w0, phi_row)):
+            wa = np.asarray(w, dtype=float)
+            x = wa * wa
+            up, s16 = up0 + x, x + c16
+            assert (np.asarray(mu(rp, w)).tobytes()
+                    == np.asarray(mu_formula(rp, lo0, up, s16, x)).tobytes())
+            assert (np.asarray(kernels(rp, w).K).tobytes()
+                    == np.asarray(k_formula(rp.J, up, s16, x)).tobytes())
+            pt = sensitivity(rp, w, phi)
+            R_rel, backaction = sensitivity_budget(rp, w, phi)
+            assert np.asarray(pt.R_rel).tobytes() == np.asarray(R_rel).tobytes()
+            assert pt.backaction.tobytes() == backaction.tobytes()
+
+
+def test_closed_forms_leave_their_inputs_unchanged():
+    # Full (gain, frequency) grids as sweep passes them, and the 1-D
+    # arrays of mu and kernels.
+    rp = ReducedParams(J0=0.3, g=0.2, gam=1e-3, theta=40.0)
+    x = np.geomspace(1e-8, 4.0, 64)
+    up0, lo0, c16 = np.array(
+        [_gain_coefficients(g) for g in np.linspace(0.0, 0.49, 16)]
+    ).T[:, :, None]
+    grid_inputs = (rp.J0 / lo0, lo0, up0 + x, x + c16, x)
+    up0_1, lo0_1, c16_1 = _gain_coefficients(rp.g)
+    row_inputs = (rp.J, lo0_1, up0_1 + x, x + c16_1, x)
+    for J, squeeze, up, s16, xs in (grid_inputs, row_inputs):
+        arrays = [a for a in (J, squeeze, up, s16, xs) if isinstance(a, np.ndarray)]
+        before = [a.copy() for a in arrays]
+        k = _k_formula(J, up, s16, xs)
+        m = _mu_formula(rp, squeeze, up, s16, xs)
+        assert k.shape == m.shape == up.shape
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_mu_formula_on_floats_equals_mu_bitwise():
+    # The same helper serves Python floats: no second formula is needed
+    # for a scalar caller.
+    for rp, w in draws(300, seed=43, g_max=0.499, w_min=1e-4):
+        up0, lo0, c16 = _gain_coefficients(rp.g)
+        x = w * w
+        m = _mu_formula(rp, lo0, up0 + x, x + c16, x)
+        assert type(m) is float
+        assert np.float64(m).tobytes() == np.asarray(mu(rp, np.asarray(w))).tobytes()
