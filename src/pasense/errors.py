@@ -32,4 +32,4 @@ class ResonanceDomainError(DomainError):
 
 class InvalidRangeError(ValueError):
     """A sweep or search interval is empty, reversed, or escapes the
-    supported parameter box."""
+    domain the library checks for its input."""

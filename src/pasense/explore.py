@@ -8,8 +8,8 @@ the two benchmark tables for a 100 ng particle in a MHz-linewidth
 cavity.
 
 Frequencies and gains are always the reduced ones; homodyne angles on
-grid axes are quoted in units of pi so the axis box is the symmetric
-open interval (-1/2, 1/2).
+grid axes are quoted in units of pi.  Axes and search bands are held
+to the domains the rest of the library checks for the same inputs.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .errors import DomainError, InvalidParameterError, InvalidRangeError
 from .params import HBAR, K_B, PhysicalParams, ReducedParams
 from .params import reduce as reduce_params
 from .response import (  # noqa: F401  (kernels: perfbench/tracing.py wraps it here)
+    _OMEGA_RANGE,
+    _checked_omega,
+    _checked_phase,
     _gain_coefficients,
     _k_formula,
     _mu_formula,
@@ -37,15 +40,13 @@ from .response import (  # noqa: F401  (kernels: perfbench/tracing.py wraps it h
 # row counts to the same limit.
 MAX_POINTS = 10_000_000
 
-# Axis boxes: name -> (low, high, endpoints_allowed).
-_AXIS_BOXES = {
-    "omega_over_kappa0": (1e-4, 10.0, True),
-    "G_over_kappa0": (0.0, 0.499, True),
-    "phi_over_pi": (-0.5, 0.5, False),
+# Axis name -> the library's own check of one value on it.  Each domain
+# is an interval, so checking both ends checks the whole axis.
+_AXIS_CHECKS = {
+    "omega_over_kappa0": _checked_omega,
+    "G_over_kappa0": lambda g: ReducedParams(J0=0.0, g=g),
+    "phi_over_pi": lambda phi_over_pi: _checked_phase(phi_over_pi * math.pi),
 }
-
-# Frequency window every 1-D minimum is searched in.
-_OMEGA_SEARCH_BOX = (1e-4, 2.0)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -55,9 +56,9 @@ class AxisSpec:
     """One linearly spaced sweep axis.
 
     ``name`` must be one of ``omega_over_kappa0``, ``G_over_kappa0`` or
-    ``phi_over_pi``; each carries a hard box the interval must stay in
-    (open at the ends for the homodyne angle).  At least two points per
-    axis.
+    ``phi_over_pi``, and the interval must lie in [1e-12, 1e12], in
+    [0, 1/2) or in the open (-1/2, 1/2) respectively.  At least two
+    points per axis.
     """
 
     name: str
@@ -66,27 +67,24 @@ class AxisSpec:
     num: int
 
     def __post_init__(self) -> None:
-        if self.name not in _AXIS_BOXES:
+        if self.name not in _AXIS_CHECKS:
             raise InvalidRangeError(
                 f"unknown axis {self.name!r}; expected one of "
-                f"{sorted(_AXIS_BOXES)}"
+                f"{sorted(_AXIS_CHECKS)}"
             )
         if not self.start < self.stop:
             raise InvalidRangeError(
                 f"axis {self.name}: need start < stop, got "
                 f"[{self.start}, {self.stop}]"
             )
-        low, high, closed = _AXIS_BOXES[self.name]
-        inside = (
-            low <= self.start and self.stop <= high
-            if closed
-            else low < self.start and self.stop < high
-        )
-        if not inside:
-            raise InvalidRangeError(
-                f"axis {self.name}: [{self.start}, {self.stop}] escapes the "
-                f"supported box [{low}, {high}]"
-            )
+        for end in (self.start, self.stop):
+            try:
+                _AXIS_CHECKS[self.name](end)
+            except (InvalidParameterError, DomainError) as exc:
+                raise InvalidRangeError(
+                    f"axis {self.name}: [{self.start}, {self.stop}] escapes "
+                    f"the domain of its input ({exc})"
+                ) from None
         if self.num < 2:
             raise InvalidRangeError(
                 f"axis {self.name}: need at least 2 points, got {self.num}"
@@ -238,30 +236,28 @@ def _golden_min(
 def minimize_mu_over_frequency(
     rp: ReducedParams,
     omega_range: tuple[float, float],
-    coarse_points: int = 2000,
 ) -> tuple[float, float]:
     """Minimize the phase-optimized sensitivity over a frequency band.
 
-    ``omega_range`` must lie inside the supported search window
-    [1e-4, 2.0].  A geometric coarse scan locates the global basin and
-    golden section refines it in log frequency.  Returns
-    ``(omega_star, mu_star)``; a band-edge minimum is reported at the
-    edge itself.
+    ``omega_range`` may be any band inside [1e-12, 1e12].  A 2000-point
+    geometric coarse scan locates the global basin and golden section
+    refines it in log frequency.  Returns ``(omega_star, mu_star)``; a
+    band-edge minimum is reported at the edge itself.  Zero drive, where
+    mu is infinite, is a :class:`DomainError`.
     """
     lo, hi = (float(omega_range[0]), float(omega_range[1]))
-    box_lo, box_hi = _OMEGA_SEARCH_BOX
-    if not lo < hi:
-        raise InvalidRangeError(f"need omega_min < omega_max, got [{lo}, {hi}]")
-    if lo < box_lo or hi > box_hi:
+    low, high = _OMEGA_RANGE
+    if not low <= lo < hi <= high:
         raise InvalidRangeError(
-            f"frequency band [{lo}, {hi}] escapes the supported window "
-            f"[{box_lo}, {box_hi}]"
+            f"frequency band [{lo}, {hi}] escapes "
+            f"{low:g} <= omega_min < omega_max <= {high:g}"
         )
-    if coarse_points < 2:
-        raise InvalidRangeError("coarse_points must be at least 2")
-    grid = np.geomspace(lo, hi, coarse_points)
+    grid = np.geomspace(lo, hi, 2000)
     coarse = np.asarray(mu(rp, grid))
     i = int(np.argmin(coarse))
+    # NaN and inf both fail the comparison.
+    if not coarse[i] < np.inf:
+        raise DomainError(f"mu has no finite minimum on the band [{lo}, {hi}]")
     t_lo = math.log(grid[max(i - 1, 0)])
     t_hi = math.log(grid[min(i + 1, grid.size - 1)])
 

@@ -178,7 +178,7 @@ class ReducedParams:
     def __post_init__(self) -> None:
         for name in ("J0", "g", "gam", "theta"):
             _check_finite_nonnegative(name, getattr(self, name))
-        if self.g >= 0.5:
+        if not check_stability(1.0, self.g):
             raise InstabilityError(
                 f"no steady state: need g < 0.5, got g={self.g}"
             )

@@ -51,12 +51,14 @@ def _checked_omega(omega_tilde: Any) -> np.ndarray:
     return w
 
 
-def _checked_phase(phi: Any) -> np.ndarray:
+def _checked_phase(phi: Any, bound: float = _HALF_PI) -> np.ndarray:
+    # |phi| < bound; output_spectrum, finite at every finite angle, passes inf.
     p = np.asarray(phi, dtype=float)
-    # One reduction: NaN propagates through max and fails the comparison.
-    if p.size and not np.abs(p).max() < _HALF_PI:
-        if np.isnan(p).any():
-            raise DomainError(f"phi must not be NaN, got {phi!r}")
+    # One reduction: NaN propagates through max and fails both comparisons.
+    top = np.abs(p).max() if p.size else 0.0
+    if not top < bound:
+        if not top < np.inf:
+            raise DomainError(f"phi must not be NaN or infinite, got {phi!r}")
         raise DivergentSensitivityError(
             "phi = +-pi/2: phase quadrature carries no force signal"
         )
@@ -186,16 +188,16 @@ def output_spectrum(
 ) -> Any:
     """Symmetrized noise spectrum of the detected output quadrature.
 
-    ``phi`` is the homodyne angle in radians and may take any value,
-    including +-pi/2 where the spectrum stays finite.  ``s_ex_rel`` adds
-    an external force background, quoted relative to the free-mass
-    standard quantum limit at the same frequency.  Inputs broadcast
-    against each other.
+    ``phi`` is the homodyne angle in radians and may take any finite
+    value, including +-pi/2 where the spectrum stays finite.
+    ``s_ex_rel`` adds an external force background, quoted relative to
+    the free-mass standard quantum limit at the same frequency.  Inputs
+    broadcast against each other.
     """
     if s_ex_rel < 0:
         raise InvalidParameterError(f"s_ex_rel must be >= 0, got {s_ex_rel}")
     w = _checked_omega(omega_tilde)
-    p = np.asarray(phi, dtype=float)
+    p = _checked_phase(phi, np.inf)
     # Kernels on the frequencies and cos/sin on the angles as given;
     # only the terms that mix the two are broadcast.
     A, _, Kn, B = _transfer(rp, w)
@@ -233,8 +235,8 @@ def sensitivity(rp: ReducedParams, omega_tilde: Any, phi: Any) -> SensitivityPoi
     """Force sensitivity relative to the standard quantum limit.
 
     Valid for |phi| < pi/2; at +-pi/2 the signal transfer vanishes and
-    a :class:`DivergentSensitivityError` is raised, and a NaN angle is a
-    :class:`DomainError`.  With zero drive
+    a :class:`DivergentSensitivityError` is raised, and a NaN or
+    infinite angle is a :class:`DomainError`.  With zero drive
     (J0 = 0) the shot term and the total are infinite while the
     backaction term is exactly zero.
     """

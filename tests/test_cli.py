@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pasense
 from pasense import (
     AxisSpec,
     PhysicalParams,
@@ -554,16 +559,19 @@ def test_config_values_pass_argparse_checks(capsys, tmp_path, command, doc):
     assert f"from config file {cfg}" in err
 
 
-@pytest.mark.parametrize("argv, column", [
-    # The spectrum takes any angle, so a NaN one reaches the writer.
-    (["spectrum", "--J0", "0.5", "--omega", "1.0", "--phi-over-pi", "nan"],
-     "phi_over_pi"),
-], ids=["spectrum-phi-nan"])
-def test_nan_result_exits_3_without_output(capsys, tmp_path, argv, column):
+def test_nan_result_exits_3_without_output(capsys, tmp_path, monkeypatch):
+    # The library's input checks now stop the inputs that used to give
+    # NaN, so the writer's guard is reached through a stand-in result.
+    monkeypatch.setattr(
+        "pasense.cli.output_spectrum",
+        lambda rp, w, phi, s_ex_rel: np.where(w > 0.5, np.nan, 1.0),
+    )
     target = tmp_path / "out.csv"
-    rc, out, err = run(capsys, [*argv, "--out", str(target)])
+    rc, out, err = run(capsys, [
+        "spectrum", "--J0", "0.5", "--omega", "0.2,1.0", "--out", str(target),
+    ])
     assert rc == 3
-    assert f"NaN) in column {column}" in err
+    assert "NaN) in column S_zout" in err
     assert out == ""
     assert not target.exists()
 
@@ -602,8 +610,13 @@ def test_non_finite_parameter_exits_3_without_output(
      OMEGA_RANGE_ERROR),
     (["sensitivity", "--J0", "0.5", "--omega", "1.0", "--phi-over-pi", "nan"],
      "phi must not be NaN"),
+    (["spectrum", "--J0", "0.5", "--omega", "1.0", "--phi-over-pi", "nan"],
+     "phi must not be NaN"),
+    (["spectrum", "--J0", "0.5", "--omega", "0.5", "--phi-over-pi=inf"],
+     "phi must not be NaN or infinite"),
 ], ids=["sensitivity", "spectrum", "oscillator", "sensitivity-omega-1e-200",
-        "spectrum-omega-1e200", "sensitivity-phi-nan"])
+        "spectrum-omega-1e200", "sensitivity-phi-nan", "spectrum-phi-nan",
+        "spectrum-phi-inf"])
 def test_infinite_omega_exits_3_without_warnings(capsys, tmp_path, argv, message):
     # Infinite, out-of-range or NaN inputs outside the model's domain.
     # The domain checks run before any arithmetic, so numpy has nothing
@@ -614,6 +627,7 @@ def test_infinite_omega_exits_3_without_warnings(capsys, tmp_path, argv, message
         rc, out, err = run(capsys, [*argv, "--out", str(target)])
     assert rc == 3
     assert message in err
+    assert err.count("error:") == 1
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert out == ""
@@ -698,3 +712,18 @@ def test_help_exits_0(capsys, argv, flag):
     assert rc == 0
     assert out.startswith(f"usage: pasense {' '.join(argv)}".rstrip())
     assert flag in out
+
+
+def test_python_m_pasense_runs_main(capsys):
+    # The package directory's parent goes on the path, so this runs the
+    # same code whether or not pasense is installed.
+    src = str(Path(pasense.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pasense", "tables", "--table", "1"],
+        capture_output=True, env=env, timeout=120,
+    )
+    rc, out, _ = run(capsys, ["tables", "--table", "1"])
+    assert proc.returncode == rc == 0
+    assert proc.stdout == out.encode()

@@ -1,5 +1,6 @@
 """Sweeps, the two 1-D minimizers, contour extraction, benchmark tables."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -29,6 +30,7 @@ from pasense import (
     PhysicalParams,
 )
 from pasense.explore import MAX_POINTS, TABLE_BAND
+from pasense.response import _OMEGA_RANGE
 from reference import (
     extract_contour_loop,
     minimize_phase,
@@ -166,6 +168,22 @@ def test_sweep_zero_drive_is_a_domain_error():
             AxisSpec("omega_over_kappa0", 0.5, 1.0, 3),
             AxisSpec("G_over_kappa0", 0.0, 0.2, 3),
         )
+
+
+@pytest.mark.parametrize("omega, g_max", [
+    ((1e-12, 1e-6), 0.499),
+    ((1e6, 1e12), 0.499),
+    ((1e-12, 1e12), 0.49999999),
+], ids=["omega-low-end", "omega-high-end", "gain-edge"])
+def test_sweep_is_finite_at_the_edges_of_the_domain(omega, g_max):
+    # Any numpy warning fails this test.
+    wax = AxisSpec("omega_over_kappa0", *omega, 41)
+    gax = AxisSpec("G_over_kappa0", 0.0, g_max, 41)
+    pax = AxisSpec("phi_over_pi", -0.4999, 0.4999, 41)
+    for J0, gam, theta in itertools.product((1e-6, 1.0, 1e6), (0.0, 1.0), (0.0, 1e8)):
+        rp = ReducedParams(J0=J0, g=0.25, gam=gam, theta=theta)
+        for quantity, y_axis in (("K", gax), ("mu", gax), ("R_rel", pax)):
+            assert np.isfinite(sweep(rp, quantity, wax, y_axis).values).all()
 
 
 def test_sweep_deterministic():
@@ -396,12 +414,53 @@ def test_minimize_mu_band_validation():
     rp = ReducedParams(J0=0.5)
     with pytest.raises(InvalidRangeError, match="omega_min < omega_max"):
         minimize_mu_over_frequency(rp, (1.9, 1e-4))
-    with pytest.raises(InvalidRangeError, match="escapes"):
-        minimize_mu_over_frequency(rp, (5e-5, 1.0))
-    with pytest.raises(InvalidRangeError, match="escapes"):
-        minimize_mu_over_frequency(rp, (0.5, 2.5))
-    with pytest.raises(InvalidRangeError, match="coarse_points"):
-        minimize_mu_over_frequency(rp, (1e-4, 1.9), coarse_points=1)
+    for band in ((0.0, 1.0), (1.0, 1e13)):
+        with pytest.raises(InvalidRangeError, match="escapes"):
+            minimize_mu_over_frequency(rp, band)
+    with pytest.raises(InvalidRangeError):
+        minimize_mu_over_frequency(rp, (math.nan, 1.0))
+    # Inside the frequency domain, so a valid band.
+    for lo, hi in ((5e-5, 1.0), (0.5, 2.5)):
+        w_star, m_star = minimize_mu_over_frequency(rp, (lo, hi))
+        assert lo <= w_star <= hi
+        assert math.isfinite(m_star)
+
+
+def test_minimize_mu_zero_drive_is_a_domain_error():
+    # mu is infinite at every frequency without a drive, as in sweep.
+    with pytest.raises(DomainError, match="no finite minimum"):
+        minimize_mu_over_frequency(ReducedParams(J0=0.0, g=0.3), TABLE_BAND)
+
+
+def test_minimize_mu_anywhere_in_the_frequency_domain():
+    # Seeded bands with log-uniform ends anywhere in [1e-12, 1e12], so the
+    # 2000-point coarse scan spans up to 24 decades.  Parameters alternate
+    # between the benchmark's ranges and extreme ones.
+    rng = np.random.default_rng(2024)
+
+    def log_uniform(a, b):
+        return float(np.exp(rng.uniform(np.log(a), np.log(b))))
+
+    for k in range(40):
+        lo, hi = sorted(log_uniform(*_OMEGA_RANGE) for _ in range(2))
+        if k % 2:
+            rp = ReducedParams(
+                J0=log_uniform(1e-6, 1e6),
+                g=rng.uniform(0.0, 0.4999),
+                gam=0.0 if rng.random() < 0.3 else log_uniform(1e-6, 1.0),
+                theta=0.0 if rng.random() < 0.3 else log_uniform(1e-2, 1e8),
+            )
+        else:
+            rp = ReducedParams(
+                J0=log_uniform(0.01, 1.0),
+                g=rng.uniform(0.0, 0.49),
+                gam=log_uniform(1e-6, 1e-2),
+                theta=0.0 if rng.random() < 0.5 else THETA_1K,
+            )
+        w_star, m_star = minimize_mu_over_frequency(rp, (lo, hi))
+        assert lo <= w_star <= hi, (rp, lo, hi)
+        dense = mu(rp, np.geomspace(lo, hi, 200001)).min()
+        assert m_star <= dense * (1.0 + 1e-12), (rp, lo, hi)
 
 
 def test_band_minimum_matches_leading_order_closed_form():

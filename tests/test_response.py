@@ -199,8 +199,25 @@ def test_nan_phase_is_a_domain_error():
         for fn in (
             lambda: sensitivity(ReducedParams(J0=0.5), 1.0, phi),
             lambda: oscillator_sensitivity(ReducedParams(J0=0.5), 0.1, 1.0, phi),
+            lambda: output_spectrum(ReducedParams(J0=0.5), 1.0, phi),
         ):
             with pytest.raises(DomainError, match="phi must not be NaN") as info:
+                fn()
+            assert not isinstance(info.value, DivergentSensitivityError)
+
+
+def test_infinite_phase_is_a_domain_error():
+    # Not a divergence either; the spectrum takes every finite angle.
+    rp = ReducedParams(J0=0.5)
+    finite = np.array([-math.pi / 2, math.pi / 2, -7.0, 1e6])
+    assert np.isfinite(output_spectrum(rp, 1.0, finite)).all()
+    for phi in (math.inf, -math.inf, np.array([0.1, math.inf])):
+        for fn in (
+            lambda: sensitivity(rp, 1.0, phi),
+            lambda: oscillator_sensitivity(rp, 0.1, 1.0, phi),
+            lambda: output_spectrum(rp, 1.0, phi),
+        ):
+            with pytest.raises(DomainError, match="must not be NaN or infinite") as info:
                 fn()
             assert not isinstance(info.value, DivergentSensitivityError)
 
