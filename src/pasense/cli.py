@@ -14,9 +14,9 @@ config file may supply any flag by its destination name, with explicit
 flags taking precedence; config values pass through the same argparse
 types and choices as flags.
 
-Every command evaluates each quantity once, on whole columns, and hands
-the columns to one CSV writer.  A request is capped at ``MAX_POINTS``
-rows or grid cells before anything is allocated.
+Every command evaluates each quantity once, on its own axes, and one
+CSV writer broadcasts the results into rows.  A request is capped at
+``MAX_POINTS`` rows or grid cells before anything is allocated.
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage, config or range
 errors (including requests over ``MAX_POINTS``), 3 model domain errors
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError, InvalidParameterError, InvalidRangeError
 from .explore import MAX_POINTS, AxisSpec, extract_contour, reproduce_tables, sweep
 from .oscillator import oscillator_sensitivity, sensitivity_ratio
-from .params import _WIRE, _WIRE_OPTIONAL, PhysicalParams, ReducedParams
+from .params import _WIRE, PhysicalParams, ReducedParams, _first_missing
 from .params import reduce as reduce_params
 from .response import mu, optimal_phase, output_spectrum, sensitivity
 
@@ -206,12 +206,9 @@ def _resolve_params(args: argparse.Namespace) -> ReducedParams:
             raise ConfigError("reduced parameters need J0")
         return ReducedParams(**reduced)
     if physical:
-        missing = [
-            wire for field, wire in _WIRE.items()
-            if field not in physical and wire not in _WIRE_OPTIONAL
-        ]
+        missing = _first_missing(physical)
         if missing:
-            raise ConfigError(f"missing physical parameter: {missing[0]}")
+            raise ConfigError(f"missing physical parameter: {missing}")
         return reduce_params(PhysicalParams(**physical))
     raise ConfigError(
         "no parameters given; pass --J0 (reduced) or the physical set"
@@ -271,25 +268,30 @@ def _parse_resolution(spec) -> tuple[int, int]:
     return nx, ny
 
 
-def _omega_phi_columns(args, rp) -> tuple[np.ndarray, np.ndarray]:
-    # (omega, phi) evaluation columns, phi in radians and varying fastest.
+def _omega_phi_axes(args, rp) -> tuple[np.ndarray, np.ndarray]:
+    # (omega, phi) axes, phi in radians: one angle per frequency at "opt",
+    # else a frequency column against the row of angles.
     spec = args.phi_over_pi
     if spec.strip().lower() == "opt":
         omegas = _parse_number_list(args.omega, "omega")
         return omegas, optimal_phase(rp, omegas)
     pops = _parse_number_list(spec, "phi-over-pi")
     omegas = _parse_number_list(args.omega, "omega", pops.size)
-    return np.repeat(omegas, pops.size), np.tile(pops * np.pi, omegas.size)
+    # An angle that overflows to inf is left to the library's phase check.
+    with np.errstate(over="ignore"):
+        return omegas[:, None], pops * np.pi
 
 
 def _write_csv(out, head_lines: list[str], *columns) -> None:
     """Write ``head_lines`` and then the columns as 17-digit CSV rows.
 
-    One ``%.17g`` row template formats each chunk of rows, giving the
-    same text as ``format(x, ".17g")`` for every float.  A NaN in any
-    column raises :class:`DomainError` before anything is written.
+    The only place columns meet: they are broadcast against each other
+    and raveled in C order, so the last axis varies fastest.  One
+    ``%.17g`` row template formats each chunk of rows, giving the same
+    text as ``format(x, ".17g")`` for every float.  A NaN in any column
+    raises :class:`DomainError` before anything is written.
     """
-    table = np.column_stack(columns)
+    table = np.column_stack([c.ravel() for c in np.broadcast_arrays(*columns)])
     bad = np.isnan(table).any(axis=0)
     if bad.any():
         name = head_lines[-1].split(",")[bad.argmax()]
@@ -304,7 +306,7 @@ def _write_csv(out, head_lines: list[str], *columns) -> None:
 
 def _run_sensitivity(args: argparse.Namespace):
     rp = _resolve_params(args)
-    w, phi = _omega_phi_columns(args, rp)
+    w, phi = _omega_phi_axes(args, rp)
     pt = sensitivity(rp, w, phi)
     return (
         ["omega_over_kappa0,phi_over_pi,R_rel,shot,backaction,thermal"],
@@ -314,7 +316,7 @@ def _run_sensitivity(args: argparse.Namespace):
 
 def _run_spectrum(args: argparse.Namespace):
     rp = _resolve_params(args)
-    w, phi = _omega_phi_columns(args, rp)
+    w, phi = _omega_phi_axes(args, rp)
     s = output_spectrum(rp, w, phi, args.s_ex_rel)
     return ["omega_over_kappa0,phi_over_pi,S_zout"], (w, phi / np.pi, s)
 
@@ -337,17 +339,12 @@ def _params_note(rp: ReducedParams) -> str:
 def _run_mu_map(args: argparse.Namespace):
     rp = _resolve_params(args)
     grid = _sweep(args, rp, "mu")
-    ny, nx = grid.values.shape
     head = [
         f"# quantity=mu {_params_note(rp)}",
         "omega_over_kappa0,G_over_kappa0,mu",
     ]
-    # Rows run x-fastest, matching values[iy, ix].
-    return head, (
-        np.tile(grid.x_values, ny),
-        np.repeat(grid.y_values, nx),
-        grid.values.ravel(),
-    )
+    # values[iy, ix] against an x row and a y column: rows run x-fastest.
+    return head, (grid.x_values, grid.y_values[:, None], grid.values)
 
 
 def _run_contour(args: argparse.Namespace):

@@ -15,7 +15,7 @@ to the domains the rest of the library checks for the same inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -47,6 +47,10 @@ _AXIS_CHECKS = {
     "G_over_kappa0": lambda g: ReducedParams(J0=0.0, g=g),
     "phi_over_pi": lambda phi_over_pi: _checked_phase(phi_over_pi * math.pi),
 }
+
+# Sweep quantity -> the axis its frequency row is evaluated against.
+_SWEEP_Y = {"K": "G_over_kappa0", "mu": "G_over_kappa0",
+            "R_rel": "phi_over_pi", "S_zout": "phi_over_pi"}
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -144,55 +148,40 @@ def sweep(
             f"sweep asks for {x_axis.num * y_axis.num} grid cells; "
             f"the limit is {MAX_POINTS}"
         )
-    if quantity in ("K", "mu"):
-        om_axis = _axis_by_name(x_axis, y_axis, "omega_over_kappa0")
-        g_axis = _axis_by_name(x_axis, y_axis, "G_over_kappa0")
-        w = om_axis.values
-        x = w * w
-        # Columns of per-gain coefficients against a row of frequencies.
-        up0, lo0, c16 = np.array(
-            [_gain_coefficients(g) for g in g_axis.values]
-        ).T[:, :, None]
-        # The up and s16 sums of _gain_polynomials; K and mu need no lo grid.
-        up = up0 + x
-        s16 = x + c16
-        if quantity == "K":
-            canon = _k_formula(rp.J0 / lo0, up, s16, x)
-        else:
-            canon = _mu_formula(rp, lo0, up, s16, x)
-        values = canon if x_axis is om_axis else canon.T
-    elif quantity in ("R_rel", "S_zout"):
-        om_axis = _axis_by_name(x_axis, y_axis, "omega_over_kappa0")
-        phi_axis = _axis_by_name(x_axis, y_axis, "phi_over_pi")
-        w = om_axis.values
-        p = phi_axis.values * np.pi
-        if x_axis is om_axis:
-            w, p = w[None, :], p[:, None]
-        else:
-            w, p = w[:, None], p[None, :]
-        if quantity == "R_rel":
-            values = sensitivity(rp, w, p).R_rel
-        else:
-            values = output_spectrum(rp, w, p, s_ex_rel)
-    else:
+    if quantity not in _SWEEP_Y:
         raise InvalidParameterError(
             f"unknown sweep quantity {quantity!r}; "
             "expected K, mu, R_rel or S_zout"
         )
-    values = np.asarray(values, dtype=float)
+    # A frequency row against a column of gains or angles; the grid is
+    # transposed once at the end when frequency runs along y.
+    w = _axis_by_name(x_axis, y_axis, "omega_over_kappa0").values
+    column = _axis_by_name(x_axis, y_axis, _SWEEP_Y[quantity]).values[:, None]
+    if quantity == "R_rel":
+        values = sensitivity(rp, w, column * np.pi).R_rel
+    elif quantity == "S_zout":
+        values = output_spectrum(rp, w, column * np.pi, s_ex_rel)
+    else:
+        x = w * w
+        # Columns of per-gain coefficients against the row of frequencies.
+        coefficients = [_gain_coefficients(g) for g in column[:, 0]]
+        up0, lo0, c16 = np.array(coefficients).T[:, :, None]
+        # The up and s16 sums of _gain_polynomials; K and mu need no lo grid.
+        up = up0 + x
+        s16 = x + c16
+        if quantity == "K":
+            values = _k_formula(rp.J0 / lo0, up, s16, x)
+        else:
+            values = _mu_formula(rp, lo0, up, s16, x)
+    if x_axis.name != "omega_over_kappa0":
+        values = values.T
     # NaN propagates through min and max, so these two reductions reject
     # NaN and +-inf alike.
     if not (-np.inf < values.min() and values.max() < np.inf):
         raise DomainError(
             f"sweep of {quantity} produced non-finite values on this grid"
         )
-    meta = {
-        "J0": rp.J0,
-        "g": rp.g,
-        "gam": rp.gam,
-        "theta": rp.theta,
-        "s_ex_rel": s_ex_rel,
-    }
+    meta = {**asdict(rp), "s_ex_rel": s_ex_rel}
     return SweepGrid(
         quantity=quantity,
         x_name=x_axis.name,

@@ -27,6 +27,7 @@ from .response import (
     _checked_phase,
     _gain_coefficients,
     _gain_polynomials,
+    _k_formula,
 )
 
 
@@ -94,7 +95,7 @@ def oscillator_sensitivity(
     up, lo, s16 = _gain_polynomials(_gain_coefficients(rp.g), x)
     A = up / lo
     # Trap-stiffened measurement strength; reduces to the free K at xm = 0.
-    K_mo = rp.J * s16 / (up * (x - xm))
+    K_mo = _k_formula(rp.J, up, s16, x - xm)
     detuning = (x - xm) / x
     with np.errstate(divide="ignore"):
         base = detuning / (4.0 * K_mo)

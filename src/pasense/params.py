@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import InstabilityError, InvalidParameterError
 
@@ -42,8 +42,13 @@ _WIRE = {
     "temperature": "temperature_K",
     "omega_m": "omega_m_rad_s",
 }
-# Fields that may be omitted from a JSON document (default 0).
-_WIRE_OPTIONAL = {"gamma_m_rad_s", "temperature_K", "omega_m_rad_s"}
+
+
+def _first_missing(given) -> str | None:
+    # Wire name of the first PhysicalParams field that has no default and
+    # is not in ``given`` (field names), or None.
+    required = [f.name for f in fields(PhysicalParams) if f.default is MISSING]
+    return next((_WIRE[name] for name in required if name not in given), None)
 
 
 def drive_amplitude(power: float, wavelength: float) -> float:
@@ -154,9 +159,9 @@ class PhysicalParams:
             if key not in known:
                 raise InvalidParameterError(f"unknown parameter field: {key!r}")
             kwargs[known[key]] = float(value)
-        for wire, field in known.items():
-            if field not in kwargs and wire not in _WIRE_OPTIONAL:
-                raise InvalidParameterError(f"missing parameter field: {wire!r}")
+        missing = _first_missing(kwargs)
+        if missing:
+            raise InvalidParameterError(f"missing parameter field: {missing!r}")
         return cls(**kwargs)
 
 

@@ -14,6 +14,7 @@ import pytest
 import pasense
 from pasense import (
     AxisSpec,
+    InvalidParameterError,
     PhysicalParams,
     ReducedParams,
     mu,
@@ -186,16 +187,43 @@ def test_spectrum_rows(capsys):
     assert float(rows[0][2]) == 0.53125
     assert float(rows[1][2]) == pytest.approx(0.5, rel=1e-12)
 
+    # At the optimal angle and on an angle list (rows omega-major, phi
+    # fastest), every column equals one library call on the row arrays.
+    pops = np.array([-0.5, 0.0, 0.2])
+    for extra, w, phi in (
+        ([], OMEGAS, optimal_phase(RP_LOSSY, OMEGAS)),
+        (["--phi-over-pi=-0.5,0,0.2"], np.repeat(OMEGAS, 3),
+         np.tile(pops * np.pi, OMEGAS.size)),
+    ):
+        rc, out, _ = run(capsys, [
+            "spectrum", *LOSSY_FLAGS, "--omega", "0.01:1.9:257",
+            "--s-ex-rel", "0.3", *extra,
+        ])
+        assert rc == 0
+        assert_bitwise(
+            columns_of(out), w, phi / np.pi,
+            output_spectrum(RP_LOSSY, w, phi, 0.3),
+        )
+
+
+@pytest.mark.parametrize("command", ["sensitivity", "spectrum"])
+def test_angle_list_evaluates_each_frequency_once(capsys, monkeypatch, command):
+    # An angle list is a row of angles against the frequency column, so
+    # the per-frequency transfer runs on 50 frequencies, not 50 x 3 rows.
+    seen = []
+    transfer = pasense.response._transfer
+
+    def spy(rp, w):
+        seen.append(np.size(w))
+        return transfer(rp, w)
+
+    monkeypatch.setattr(pasense.response, "_transfer", spy)
     rc, out, _ = run(capsys, [
-        "spectrum", *LOSSY_FLAGS, "--omega", "0.01:1.9:257",
-        "--s-ex-rel", "0.3",
+        command, "--J0", "0.5", "--omega", "0.1:1:50", "--phi-over-pi=-0.2,0,0.2",
     ])
     assert rc == 0
-    phi = optimal_phase(RP_LOSSY, OMEGAS)
-    assert_bitwise(
-        columns_of(out), OMEGAS, phi / np.pi,
-        output_spectrum(RP_LOSSY, OMEGAS, phi, 0.3),
-    )
+    assert len(rows_of(out)[1]) == 150
+    assert sum(seen) == 50
 
 
 def test_spectrum_negative_background_exits_3(capsys):
@@ -459,6 +487,18 @@ def test_missing_physical_field_exits_2(capsys):
     assert rc == 2
     assert "missing physical parameter: G_rad_s" in err
 
+    # One rule says which SI fields are required, for the flags and for
+    # PhysicalParams.from_json; each keeps its own error and message.
+    for i in range(0, len(PHYS_FLAGS), 2):
+        flags = PHYS_FLAGS[:i] + PHYS_FLAGS[i + 2:]
+        wire = PHYS_FLAGS[i][2:].replace("-", "_")
+        rc, out, err = run(capsys, ["sensitivity", *flags, "--omega", "1.0"])
+        assert (rc, out, err) == (2, "", f"error: missing physical parameter: {wire}\n")
+        doc = {f[2:].replace("-", "_"): float(v) for f, v in zip(flags[::2], flags[1::2])}
+        with pytest.raises(InvalidParameterError) as info:
+            PhysicalParams.from_json(json.dumps(doc))
+        assert str(info.value) == f"missing parameter field: {wire!r}"
+
 
 def test_no_parameters_exits_2(capsys):
     rc, _, err = run(capsys, ["sensitivity", "--omega", "1.0"])
@@ -614,9 +654,14 @@ def test_non_finite_parameter_exits_3_without_output(
      "phi must not be NaN"),
     (["spectrum", "--J0", "0.5", "--omega", "0.5", "--phi-over-pi=inf"],
      "phi must not be NaN or infinite"),
+    # Finite phi/pi whose angle overflows to inf.
+    (["sensitivity", "--J0", "0.5", "--omega", "0.5",
+      "--phi-over-pi=1e308,0.1"], "phi must not be NaN or infinite"),
+    (["spectrum", "--J0", "0.5", "--omega", "0.5", "--phi-over-pi=1e308"],
+     "phi must not be NaN or infinite"),
 ], ids=["sensitivity", "spectrum", "oscillator", "sensitivity-omega-1e-200",
         "spectrum-omega-1e200", "sensitivity-phi-nan", "spectrum-phi-nan",
-        "spectrum-phi-inf"])
+        "spectrum-phi-inf", "sensitivity-phi-overflow", "spectrum-phi-overflow"])
 def test_infinite_omega_exits_3_without_warnings(capsys, tmp_path, argv, message):
     # Infinite, out-of-range or NaN inputs outside the model's domain.
     # The domain checks run before any arithmetic, so numpy has nothing

@@ -55,6 +55,8 @@ def test_axis_spec_validation():
         AxisSpec("detuning", 0.0, 1.0, 5)
     with pytest.raises(InvalidRangeError, match="start < stop"):
         AxisSpec("omega_over_kappa0", 1.0, 0.5, 5)
+    with pytest.raises(InvalidRangeError, match="start < stop"):
+        AxisSpec("omega_over_kappa0", 0.5, 0.5, 5)
     with pytest.raises(InvalidRangeError, match="escapes"):
         AxisSpec("omega_over_kappa0", 0.0, 1.0, 5)
     with pytest.raises(InvalidRangeError, match="escapes"):
@@ -419,8 +421,10 @@ def test_minimize_mu_band_validation():
             minimize_mu_over_frequency(rp, band)
     with pytest.raises(InvalidRangeError):
         minimize_mu_over_frequency(rp, (math.nan, 1.0))
-    # Inside the frequency domain, so a valid band.
-    for lo, hi in ((5e-5, 1.0), (0.5, 2.5)):
+    # Inside the frequency domain, so a valid band; both ends of the
+    # domain belong to it.
+    for lo, hi in ((5e-5, 1.0), (0.5, 2.5), (_OMEGA_RANGE[0], 1e-6),
+                   (1e6, _OMEGA_RANGE[1])):
         w_star, m_star = minimize_mu_over_frequency(rp, (lo, hi))
         assert lo <= w_star <= hi
         assert math.isfinite(m_star)
@@ -732,8 +736,10 @@ def test_contour_matches_loop_oracle_on_seeded_grids():
     ([[0.0, 1.0], [1.0, 0.0]], 0.5),
     (np.ones((3, 3)), 1.0),
     ([[0.0, 1.0, 0.0]], 0.5),
+    # Grid values equal to the level count as below it.
+    ([[0.0, 1.0, 2.0], [1.0, 2.0, 1.0], [0.5, 1.0, 3.0]], 1.0),
 ], ids=["saddle5-above", "saddle5-at-level", "saddle10-above",
-        "saddle10-at-level", "flat", "one-row"])
+        "saddle10-at-level", "flat", "one-row", "level-on-grid-values"])
 def test_contour_matches_loop_oracle_on_small_cases(values, level):
     assert_same_polylines(synthetic_grid(values), level)
 

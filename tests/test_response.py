@@ -72,6 +72,17 @@ def test_forward_kernel_unit_modulus():
         assert abs(abs(ks.u) - 1.0) <= 1e-14
 
 
+def test_forward_kernel_phase():
+    # u = i (1 + 2g - i w) / sqrt(up) * sqrt(s16) / (w + 4i g), so its angle
+    # is pi/2 - atan2(w, 1 + 2g) - atan2(4g, w); |u| = 1 alone does not fix
+    # the sign of either imaginary part.
+    for rp, w in draws(60, seed=13):
+        u = kernels(rp, w).u
+        angle = (0.5 * math.pi - math.atan2(w, 1.0 + 2.0 * rp.g)
+                 - math.atan2(4.0 * rp.g, w))
+        assert abs(u - complex(math.cos(angle), math.sin(angle))) <= 1e-14
+
+
 def test_undamped_kernel_is_real():
     for rp, w in draws(40, seed=12):
         rp0 = ReducedParams(J0=rp.J0, g=rp.g)
@@ -397,9 +408,10 @@ def test_every_quantity_is_finite_at_the_frequency_range_edges(w):
 
 
 def test_closed_forms_match_plain_expressions_bitwise():
-    # The library builds K, mu and the budget in place; each must equal
-    # the single-expression form in tests/reference.py to the last bit,
-    # on 1-D arrays and on scalars.
+    # The library builds K, mu and the budget in place, and the trapped K
+    # with the same helper as K; each must equal the single-expression
+    # form in tests/reference.py to the last bit, on 1-D arrays and on
+    # scalars.
     w_row = np.geomspace(1e-4, 2.0, 257)
     phi_row = np.linspace(-1.5, 1.5, 257)
     cases = draws(40, seed=41) + [
@@ -419,6 +431,14 @@ def test_closed_forms_match_plain_expressions_bitwise():
             R_rel, backaction = sensitivity_budget(rp, w, phi)
             assert np.asarray(pt.R_rel).tobytes() == np.asarray(R_rel).tobytes()
             assert pt.backaction.tobytes() == backaction.tobytes()
+            # The trapped particle's K is the same closed form at x - xm.
+            wm = 0.5 * wa.min()
+            xm = wm * wm
+            with np.errstate(divide="ignore"):
+                mu_mo = ((x - xm) / x) / (4.0 * k_formula(rp.J, up, s16, x - xm))
+            osc = oscillator_sensitivity(ReducedParams(J0=rp.J0, g=rp.g), wm, w, phi)
+            assert (osc.mu_mo.tobytes()
+                    == np.broadcast_to(mu_mo, osc.mu_mo.shape).tobytes())
 
 
 def test_closed_forms_leave_their_inputs_unchanged():
